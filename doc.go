@@ -201,9 +201,8 @@
 // injected engines via backend.Register, which is how the jobs tests
 // substitute fakes.
 //
-// See README.md for the architecture tour, DESIGN.md for the system
-// inventory and per-experiment index, and EXPERIMENTS.md for the
-// paper-vs-measured record. The benchmark harness in bench_test.go
-// regenerates every quantitative artifact; cmd/qmlbench prints them as
-// tables.
+// See perfbench/README.md for the end-to-end benchmark (its workloads,
+// metrics and layer ladder) and ROADMAP.md for the project's aims and
+// open items. The benchmark harness in bench_test.go regenerates every
+// quantitative artifact; cmd/qmlbench prints them as tables.
 package repro

@@ -35,7 +35,8 @@ func newClient(base string, hc *http.Client) *client {
 	return &client{base: strings.TrimRight(base, "/"), hc: hc}
 }
 
-// remoteSubmit is a worker's 202 response to POST /v1/jobs.
+// remoteSubmit is a worker's 202 response to POST /v1/jobs or
+// POST /v1/sweeps.
 type remoteSubmit struct {
 	ID       string `json:"id"`
 	State    string `json:"state"`
@@ -67,14 +68,16 @@ type remoteError struct {
 	Error string `json:"error"`
 }
 
-// submit forwards a canonical bundle. A 429 surfaces as errWorkerBusy so
-// the router can spill to another node. A non-empty trace rides the
-// X-Trace-Id header so the worker's journal, logs and spans carry the
-// same fleet-wide ID the dispatcher assigned. profile rides the
-// ?profile=true query form, since the forwarded body is re-derived from
-// the parsed bundle and cannot carry the submission's top-level flag.
-func (c *client) submit(ctx context.Context, raw []byte, pin int, trace string, profile bool) (remoteSubmit, error) {
-	url := c.base + "/v1/jobs"
+// submit POSTs a task's bundle to path: the canonical job bundle to
+// /v1/jobs, or a sub-sweep bundle to /v1/sweeps. A 429 or 503 surfaces as
+// errWorkerBusy so the router can spill to another node. A non-empty
+// trace rides the X-Trace-Id header so the worker's journal, logs and
+// spans carry the same fleet-wide ID the dispatcher assigned. pin and
+// profile ride the ?shards= and ?profile=true query forms, since the
+// forwarded body is re-derived from the parsed bundle and cannot carry
+// the submission's top-level flag.
+func (c *client) submit(ctx context.Context, path string, raw []byte, pin int, trace string, profile bool) (remoteSubmit, error) {
+	url := c.base + path
 	q := neturl.Values{}
 	if pin > 0 {
 		q.Set("shards", strconv.Itoa(pin))
@@ -103,49 +106,13 @@ func (c *client) submit(ctx context.Context, raw []byte, pin int, trace string, 
 	case http.StatusAccepted:
 		var out remoteSubmit
 		if err := json.Unmarshal(body, &out); err != nil || out.ID == "" {
-			return remoteSubmit{}, fmt.Errorf("fleet: %s accepted with unreadable body: %v", c.base, err)
+			return remoteSubmit{}, fmt.Errorf("fleet: %s: POST %s accepted with unreadable body: %v", c.base, path, err)
 		}
 		return out, nil
 	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
 		return remoteSubmit{}, errWorkerBusy
 	default:
-		return remoteSubmit{}, fmt.Errorf("fleet: %s: submit: %s", c.base, decodeErr(resp.StatusCode, body))
-	}
-}
-
-// submitSweep forwards a sub-sweep bundle to a worker's POST /v1/sweeps.
-// Backpressure spills to another node exactly like plain submissions;
-// profile rides ?profile=true like plain submissions too.
-func (c *client) submitSweep(ctx context.Context, raw []byte, trace string, profile bool) (remoteSubmit, error) {
-	url := c.base + "/v1/sweeps"
-	if profile {
-		url += "?profile=true"
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(raw))
-	if err != nil {
-		return remoteSubmit{}, fmt.Errorf("fleet: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if trace != "" {
-		req.Header.Set(obs.TraceHeader, trace)
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return remoteSubmit{}, fmt.Errorf("fleet: %w", err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	switch resp.StatusCode {
-	case http.StatusAccepted:
-		var out remoteSubmit
-		if err := json.Unmarshal(body, &out); err != nil || out.ID == "" {
-			return remoteSubmit{}, fmt.Errorf("fleet: %s accepted sweep with unreadable body: %v", c.base, err)
-		}
-		return out, nil
-	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-		return remoteSubmit{}, errWorkerBusy
-	default:
-		return remoteSubmit{}, fmt.Errorf("fleet: %s: sweep submit: %s", c.base, decodeErr(resp.StatusCode, body))
+		return remoteSubmit{}, fmt.Errorf("fleet: %s: POST %s: %s", c.base, path, decodeErr(resp.StatusCode, body))
 	}
 }
 

@@ -287,26 +287,25 @@ type fwdJob struct {
 	// profile asks the executing worker for a kernel-granular profile;
 	// forwarded as ?profile=true (the raw bundle is re-derived from the
 	// parsed struct, so the body flag would not survive).
-	profile   bool
+	profile bool
+	// points is a sweep's grid size; 0 marks a plain job.
+	points int
+	// tasks are the job's remote units of work (see task.go): a plain
+	// job's one task carries the whole bundle from submission on; a
+	// sweep's range tasks appear when runJob scatters the grid, and stay
+	// nil for terminal sweeps recovered from the journal (their range
+	// assignments are not retained, only the merged outcome).
+	tasks     []*task
 	state     jobs.State
-	worker    string // assigned node ("" while unassigned)
-	remote    string // job ID on that node
-	avoid     string // node to skip on the next forward (it just lost the job)
 	cacheHit  bool
 	coalesced bool
 	shards    int
-	forwards  int
 	errMsg    string
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
 	spans     []obs.Span // dispatch lifecycle log, appended in transition order
-	// profileDoc is the owning worker's kernel-granular profile table,
-	// captured opaquely from its status document once the remote job
-	// completes (re-captured from the replacement worker after a
-	// re-forward). Nil for unprofiled submissions.
-	profileDoc json.RawMessage
-	done       chan struct{}
+	done      chan struct{}
 	// Journal event queue (see the type comment). evGen counts events
 	// ever enqueued; flushedGen is the newest generation known appended
 	// (and, per the store's fsync policy, durable). flushJob waits until
@@ -317,11 +316,16 @@ type fwdJob struct {
 	evGen      uint64
 	flushedGen uint64
 	flushing   bool
-	// sweep is non-nil for parameter-sweep jobs: the point grid is
-	// scattered range-wise over the fleet instead of forwarded whole
-	// (see sweep.go). worker/remote stay empty; assignments live on the
-	// ranges.
-	sweep *sweepScatter
+}
+
+// assigned is a plain job's current (or final) worker and remote job ID;
+// empty for a sweep, whose assignments live on its range tasks. Callers
+// hold Dispatcher.mu.
+func (j *fwdJob) assigned() (worker, remote string) {
+	if j.points > 0 || len(j.tasks) == 0 {
+		return "", ""
+	}
+	return j.tasks[0].worker, j.tasks[0].remote
 }
 
 // spanLocked appends one dispatch-lifecycle span. Callers hold
@@ -445,20 +449,20 @@ func (d *Dispatcher) recover() []*fwdJob {
 			engine:    rec.Engine,
 			pin:       rec.Pin,
 			profile:   rec.Profile,
-			worker:    rec.Worker,
-			remote:    rec.Remote,
+			points:    rec.Points,
 			submitted: rec.Submitted,
 			started:   rec.Started,
 			finished:  rec.Finished,
 			done:      make(chan struct{}),
 		}
-		if rec.Points > 0 {
-			// A sweep record. Its range assignments are not folded into
-			// the record (they are per-range EvAssigned history), so a
-			// non-terminal sweep re-scatters from scratch; a terminal one
-			// answers Status but not SweepResult (see SweepResult).
-			j.sweep = &sweepScatter{points: rec.Points}
-			j.worker, j.remote = "", ""
+		// A sweep record's range assignments are not folded into the
+		// record (they are per-range EvAssigned history), so a
+		// non-terminal sweep re-scatters from scratch and a terminal one
+		// answers Status but not SweepResult (see SweepResult).
+		var t *task
+		if rec.Points == 0 {
+			t = &task{worker: rec.Worker, remote: rec.Remote}
+			j.tasks = []*task{t}
 		}
 		d.met.recovered.Inc()
 		switch rec.State {
@@ -491,22 +495,24 @@ func (d *Dispatcher) recover() []*fwdJob {
 			j.state = jobs.StateQueued
 			j.raw = rec.Bundle
 			j.started = time.Time{} // re-observed from the worker
-			if j.worker != "" {
-				if w := d.workers[j.worker]; w != nil {
+			if t != nil {
+				t.raw = rec.Bundle
+				if w := d.workers[t.worker]; w != nil {
 					w.outstanding++
 				} else {
-					// The fleet config changed across the restart; the
-					// assigned node is gone. Forward from scratch.
-					j.worker, j.remote = "", ""
+					// Never assigned, or the fleet config changed across the
+					// restart and the assigned node is gone: forward from
+					// scratch.
+					t.worker, t.remote = "", ""
+				}
+				if d.inflight[j.key] == nil {
+					d.inflight[j.key] = j
 				}
 			}
 			d.jobs[j.id] = j
-			if j.sweep == nil && d.inflight[j.key] == nil {
-				d.inflight[j.key] = j
-			}
 			d.met.reattached.Inc()
 			j.spanLocked("queued", 0, "re-attached after restart")
-			d.log.Info("job re-attached", "job", j.id, "trace", j.trace, "worker", j.worker)
+			d.log.Info("job re-attached", "job", j.id, "trace", j.trace, "worker", rec.Worker)
 			reattach = append(reattach, j)
 			continue
 		}
@@ -602,8 +608,28 @@ func (d *Dispatcher) Submit(b *bundle.Bundle, pin int) (Status, error) {
 // worker for a kernel-granular profile, which the dispatcher proxies
 // back into this job's status once the worker reports it.
 func (d *Dispatcher) SubmitTraced(b *bundle.Bundle, pin int, traceID string, profile bool) (Status, error) {
+	return d.accept(b, pin, traceID, profile, false)
+}
+
+// accept journals and starts one plain job or, with sweep set, one
+// parameter sweep: the grid journals as ONE record and scatters after
+// acceptance.
+func (d *Dispatcher) accept(b *bundle.Bundle, pin int, traceID string, profile, sweep bool) (Status, error) {
 	if b == nil {
 		return Status{}, errors.New("fleet: nil bundle")
+	}
+	points := 0
+	if sweep {
+		if b.Context == nil || b.Context.Sweep == nil {
+			return Status{}, errors.New("fleet: bundle has no sweep context block")
+		}
+		points = len(b.Context.Sweep.Points)
+		if points == 0 {
+			return Status{}, errors.New("fleet: sweep has no points")
+		}
+		if points > jobs.MaxSweepPoints {
+			return Status{}, fmt.Errorf("fleet: sweep has %d points, max %d", points, jobs.MaxSweepPoints)
+		}
 	}
 	key, err := jobs.CacheKey(b)
 	if err != nil {
@@ -630,27 +656,38 @@ func (d *Dispatcher) SubmitTraced(b *bundle.Bundle, pin int, traceID string, pro
 		raw:       raw,
 		pin:       pin,
 		profile:   profile,
+		points:    points,
 		state:     jobs.StateQueued,
 		submitted: now,
 		done:      make(chan struct{}),
 	}
 	d.jobs[j.id] = j
 	d.met.submitted.Inc()
-	if primary := d.inflight[key]; primary != nil {
+	switch primary := d.inflight[key]; {
+	case sweep:
+		// Sweeps skip the in-flight coalescing table: their work is spread
+		// over the fleet, so there is no single "primary worker" to pin a
+		// twin to.
+		d.met.sweeps.Inc()
+		j.spanLocked("queued", 0, fmt.Sprintf("sweep points=%d", points))
+	case primary != nil:
 		// A twin is already in flight through the dispatcher: the router
 		// will pin this job to the primary's worker so the worker-side
 		// pool coalesces them onto one execution.
 		d.met.coalesced.Inc()
 		j.spanLocked("queued", 0, "coalesces with "+primary.id)
-	} else {
+	default:
 		d.inflight[key] = j
 		j.spanLocked("queued", 0, "")
 	}
-	d.enqueueLocked(j, store.Event{T: store.EvSubmitted, Job: j.id, Trace: j.trace, At: now, Key: key, Engine: engine, Bundle: raw, Pin: pin, Profile: profile})
+	if !sweep {
+		j.tasks = []*task{{raw: raw}}
+	}
+	d.enqueueLocked(j, store.Event{T: store.EvSubmitted, Job: j.id, Trace: j.trace, At: now, Key: key, Engine: engine, Bundle: raw, Pin: pin, Points: points, Profile: profile})
 	d.wg.Add(1)
 	st := d.statusLocked(j)
 	d.mu.Unlock()
-	d.log.Info("job accepted", "job", j.id, "trace", j.trace, "engine", engine)
+	d.log.Info("job accepted", "job", j.id, "trace", j.trace, "engine", engine, "points", points)
 
 	// Append after releasing the dispatcher lock: concurrent submitters
 	// then share group-commit fsync barriers instead of serializing
@@ -664,259 +701,10 @@ func (d *Dispatcher) SubmitTraced(b *bundle.Bundle, pin int, traceID string, pro
 	return st, nil
 }
 
-// runJob owns one job's forwarding lifecycle: assign a worker, watch the
-// remote status, and re-forward when the worker dies or forgets the job.
-// It exits when the job is terminal or the dispatcher closes (the
-// journal then carries the state to the next process life).
-func (d *Dispatcher) runJob(j *fwdJob) {
-	defer d.wg.Done()
-	if j.sweep != nil {
-		d.runSweep(j)
-		return
-	}
-	pollFails := 0
-	for d.ctx.Err() == nil {
-		d.mu.Lock()
-		if j.state.Terminal() {
-			d.mu.Unlock()
-			return
-		}
-		workerName, remote := j.worker, j.remote
-		d.mu.Unlock()
-
-		if workerName == "" || remote == "" {
-			if !d.forward(j) {
-				// No worker reachable right now; journal already holds the
-				// job, so keep retrying until the fleet comes back.
-				if !d.sleep(d.opts.ProbeInterval, j) {
-					return
-				}
-			}
-			pollFails = 0
-			continue
-		}
-
-		w := d.workerByName(workerName)
-		ctx, cancel := context.WithTimeout(d.ctx, d.opts.RequestTimeout)
-		st, notFound, err := w.c.status(ctx, remote)
-		cancel()
-		switch {
-		case err != nil:
-			pollFails++
-			if pollFails >= d.opts.ReforwardAfter {
-				d.detach(j, workerName)
-				pollFails = 0
-				continue
-			}
-		case notFound:
-			// The worker answered but no longer knows the job: it
-			// restarted without durable state. Re-forward immediately.
-			d.detach(j, workerName)
-			pollFails = 0
-			continue
-		default:
-			pollFails = 0
-			if d.observe(j, st) {
-				return
-			}
-		}
-		if !d.sleep(d.opts.PollInterval, j) {
-			return
-		}
-	}
-}
-
-// forward assigns the job to a worker and POSTs it. It tries the routing
-// choice first and rotates through the remaining healthy workers on
-// transport errors or backpressure; the node that just lost the job
-// (j.avoid) is skipped unless it is the only one left. Returns false
-// when no worker accepted.
-func (d *Dispatcher) forward(j *fwdJob) bool {
-	tried := map[string]bool{}
-	d.mu.Lock()
-	avoid := j.avoid
-	d.mu.Unlock()
-	if avoid != "" {
-		tried[avoid] = true
-	}
-	for round := 0; ; {
-		name := d.pick(j, tried)
-		if name == "" {
-			if round == 0 && avoid != "" {
-				// Every alternative is down; the avoided node may be the
-				// only fleet left (e.g. it restarted in-memory). Allow it.
-				delete(tried, avoid)
-				round++
-				continue
-			}
-			return false
-		}
-		tried[name] = true
-		w := d.workerByName(name)
-		ctx, cancel := context.WithTimeout(d.ctx, d.opts.RequestTimeout)
-		rtStart := time.Now()
-		sub, err := w.c.submit(ctx, j.raw, j.pin, j.trace, j.profile)
-		rt := time.Since(rtStart)
-		cancel()
-		if err != nil {
-			continue // busy or unreachable: next candidate
-		}
-		d.met.roundtrip.Observe(rt)
-		d.mu.Lock()
-		if j.state.Terminal() { // canceled while forwarding
-			d.mu.Unlock()
-			// The worker now holds an orphan twin; best-effort cancel it.
-			cctx, ccancel := context.WithTimeout(d.ctx, d.opts.RequestTimeout)
-			w.c.cancel(cctx, sub.ID)
-			ccancel()
-			return true
-		}
-		j.worker, j.remote = name, sub.ID
-		j.avoid = ""
-		j.forwards++
-		reforward := j.forwards > 1
-		if reforward {
-			d.met.reforwarded.Inc()
-			j.spanLocked("assigned", rt, fmt.Sprintf("re-forwarded to %s as %s", name, sub.ID))
-		} else {
-			j.spanLocked("assigned", rt, fmt.Sprintf("%s as %s", name, sub.ID))
-		}
-		d.met.forwarded.Inc()
-		w.outstanding++
-		d.enqueueLocked(j, store.Event{T: store.EvAssigned, Job: j.id, Trace: j.trace, At: time.Now(), Worker: name, Remote: sub.ID})
-		d.mu.Unlock()
-		if reforward {
-			d.log.Warn("job re-forwarded", "job", j.id, "trace", j.trace, "worker", name, "remote", sub.ID)
-			obs.RecordDur(obs.FlightFleetForward, j.id, "re-forwarded to "+name+" as "+sub.ID, rt)
-		} else {
-			d.log.Info("job forwarded", "job", j.id, "trace", j.trace, "worker", name, "remote", sub.ID)
-			obs.RecordDur(obs.FlightFleetForward, j.id, name+" as "+sub.ID, rt)
-		}
-		d.flushDirty()
-		return true
-	}
-}
-
-// pick chooses a worker for the job: the in-flight primary's worker when
-// the key is already dispatched (dispatcher-level coalescing), else the
-// consistent-hash affinity node unless the slack rule spills to the
-// least-loaded healthy worker. Workers in tried are excluded.
-func (d *Dispatcher) pick(j *fwdJob, tried map[string]bool) string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	ok := func(name string) bool {
-		w := d.workers[name]
-		return w != nil && w.healthy && !tried[name]
-	}
-	if primary := d.inflight[j.key]; primary != nil && primary != j && primary.worker != "" && ok(primary.worker) {
-		return primary.worker
-	}
-	var least *worker
-	for _, name := range d.names {
-		if !ok(name) {
-			continue
-		}
-		w := d.workers[name]
-		if least == nil || w.outstanding < least.outstanding {
-			least = w
-		}
-	}
-	if least == nil {
-		return ""
-	}
-	affinity := d.ring.lookup(j.key, ok)
-	if affinity == "" {
-		return least.name
-	}
-	if aw := d.workers[affinity]; aw.outstanding > least.outstanding+d.opts.AffinitySlack {
-		d.met.affinitySpills.Inc()
-		return least.name
-	}
-	d.met.affinityHits.Inc()
-	return affinity
-}
-
-// detach severs the job from a worker that died or forgot it; the runner
-// loop forwards it elsewhere next.
-func (d *Dispatcher) detach(j *fwdJob, workerName string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if j.state.Terminal() {
-		// A concurrent Cancel/observe already finished the job (and
-		// decremented the worker's outstanding count); detaching now
-		// would double-decrement.
-		return
-	}
-	if j.worker != workerName { // raced with a re-forward
-		return
-	}
-	j.worker, j.remote = "", ""
-	j.avoid = workerName
-	j.started = time.Time{}
-	if j.state == jobs.StateRunning {
-		j.state = jobs.StateQueued
-	}
-	if w := d.workers[workerName]; w != nil {
-		w.outstanding--
-	}
-	j.spanLocked("detached", 0, "worker "+workerName+" lost the job")
-	obs.Record(obs.FlightFleetDetach, j.id, "worker "+workerName+" lost the job")
-	d.log.Warn("job detached", "job", j.id, "trace", j.trace, "worker", workerName)
-}
-
-// observe folds a remote status snapshot into the local record. Returns
-// true when the job reached a terminal state.
-func (d *Dispatcher) observe(j *fwdJob, st remoteStatus) bool {
-	d.mu.Lock()
-	if j.state.Terminal() {
-		d.mu.Unlock()
-		return true
-	}
-	if st.Engine != "" {
-		j.engine = st.Engine
-	}
-	j.cacheHit = st.CacheHit
-	j.coalesced = st.Coalesced
-	if st.Shards > 0 {
-		j.shards = st.Shards
-	}
-	if len(st.Profile) > 0 {
-		// The worker's kernel table, proxied opaquely. Overwrite rather
-		// than keep-first: after a re-forward the replacement worker's
-		// table describes the execution that actually produced the result.
-		j.profileDoc = st.Profile
-	}
-	switch jobs.State(st.State) {
-	case jobs.StateRunning:
-		if j.state == jobs.StateQueued {
-			j.state = jobs.StateRunning
-			j.started = time.Now()
-			j.spanLocked("started", 0, "on "+j.worker)
-			d.enqueueLocked(j, store.Event{T: store.EvStarted, Job: j.id, Trace: j.trace, At: j.started, Shards: st.Shards})
-		}
-	case jobs.StateDone:
-		j.errMsg = ""
-		d.finishLocked(j, jobs.StateDone)
-		d.enqueueLocked(j, store.Event{T: store.EvDone, Job: j.id, Trace: j.trace, At: j.finished, Engine: j.engine, CacheHit: st.CacheHit, Coalesced: st.Coalesced})
-	case jobs.StateFailed:
-		j.errMsg = st.Error
-		d.finishLocked(j, jobs.StateFailed)
-		d.enqueueLocked(j, store.Event{T: store.EvFailed, Job: j.id, Trace: j.trace, At: j.finished, Engine: j.engine, Coalesced: st.Coalesced, Error: st.Error})
-	case jobs.StateCanceled:
-		// Canceled out-of-band on the worker itself.
-		d.finishLocked(j, jobs.StateCanceled)
-		d.enqueueLocked(j, store.Event{T: store.EvCanceled, Job: j.id, Trace: j.trace, At: j.finished})
-	}
-	terminal := j.state.Terminal()
-	d.mu.Unlock()
-	d.flushDirty()
-	return terminal
-}
-
-// finishLocked moves the job to a terminal state: stats, worker
-// outstanding bookkeeping, in-flight pin cleanup, bundle drop, done
-// close, and bounded retention. Callers hold d.mu and journal the
-// terminal event themselves after unlocking.
+// finishLocked moves the job to a terminal state: stats, the terminal
+// journal event, outstanding bookkeeping for tasks still live on a
+// worker, in-flight pin cleanup, bundle drop, done close, and bounded
+// retention. Callers hold d.mu and flush the journal after unlocking.
 func (d *Dispatcher) finishLocked(j *fwdJob, state jobs.State) {
 	j.state = state
 	j.finished = time.Now()
@@ -924,24 +712,31 @@ func (d *Dispatcher) finishLocked(j *fwdJob, state jobs.State) {
 	if !j.started.IsZero() {
 		run = j.finished.Sub(j.started)
 	}
+	worker, _ := j.assigned()
+	ev := store.Event{Job: j.id, Trace: j.trace, At: j.finished}
 	switch state {
 	case jobs.StateDone:
+		ev.T, ev.Engine, ev.CacheHit, ev.Coalesced = store.EvDone, j.engine, j.cacheHit, j.coalesced
 		d.met.completed.Inc()
 		j.spanLocked("done", run, "")
-		d.log.Info("job done", "job", j.id, "trace", j.trace, "worker", j.worker, "run_ms", float64(run)/1e6)
+		d.log.Info("job done", "job", j.id, "trace", j.trace, "worker", worker, "run_ms", float64(run)/1e6)
 	case jobs.StateFailed:
+		ev.T, ev.Engine, ev.Coalesced, ev.Error = store.EvFailed, j.engine, j.coalesced, j.errMsg
 		d.met.failed.Inc()
 		j.spanLocked("failed", run, j.errMsg)
-		d.log.Warn("job failed", "job", j.id, "trace", j.trace, "worker", j.worker, "err", j.errMsg)
+		d.log.Warn("job failed", "job", j.id, "trace", j.trace, "worker", worker, "err", j.errMsg)
 	case jobs.StateCanceled:
+		ev.T = store.EvCanceled
 		d.met.canceled.Inc()
 		j.spanLocked("canceled", 0, "")
-		d.log.Info("job canceled", "job", j.id, "trace", j.trace, "worker", j.worker)
+		d.log.Info("job canceled", "job", j.id, "trace", j.trace, "worker", worker)
 	}
-	if j.worker != "" {
-		if w := d.workers[j.worker]; w != nil {
+	d.enqueueLocked(j, ev)
+	for _, t := range j.tasks {
+		if w := d.workers[t.worker]; w != nil && t.state == "" {
 			w.outstanding--
 		}
+		t.raw = nil
 	}
 	if d.inflight[j.key] == j {
 		delete(d.inflight, j.key)
@@ -1070,76 +865,74 @@ func (d *Dispatcher) Status(id string) (Status, error) {
 }
 
 func (d *Dispatcher) statusLocked(j *fwdJob) Status {
-	reforwards := j.forwards - 1
-	if reforwards < 0 {
-		reforwards = 0
-	}
-	var sweep bool
-	var points, pointsDone int
-	var progress float64
-	var eta time.Duration
-	var ranges []RangeInfo
-	profile := j.profileDoc
-	if j.sweep != nil {
-		sweep = true
-		points = j.sweep.points
-		pointsDone = j.sweep.pointsDoneLocked()
-		if j.state == jobs.StateDone {
-			pointsDone = points // incl. terminal records recovered without ranges
-		}
-		// Reforwards for a sweep counts range re-assignments.
-		reforwards = 0
-		for _, r := range j.sweep.ranges {
-			if r.forwards > 1 {
-				reforwards += r.forwards - 1
-			}
-			ranges = append(ranges, RangeInfo{
-				From:       r.from,
-				To:         r.to,
-				State:      r.stateLocked(),
-				Worker:     r.worker,
-				Remote:     r.remote,
-				PointsDone: r.pointsDoneLocked(),
-				Forwards:   r.forwards,
-				Error:      r.errMsg,
-			})
-		}
-		if points > 0 {
-			progress = float64(pointsDone) / float64(points)
-		}
-		if j.state == jobs.StateRunning && pointsDone > 0 && pointsDone < points && !j.started.IsZero() {
-			elapsed := time.Since(j.started)
-			eta = elapsed / time.Duration(pointsDone) * time.Duration(points-pointsDone)
-		}
-		profile = j.sweep.mergedProfileLocked()
-	}
-	if j.state.Terminal() && sweep {
-		progress = 1
-	}
-	return Status{
-		Sweep:       sweep,
-		Points:      points,
-		PointsDone:  pointsDone,
-		Progress:    progress,
-		ETA:         eta,
-		Ranges:      ranges,
-		Profile:     profile,
+	worker, remote := j.assigned()
+	st := Status{
 		ID:          j.id,
 		Trace:       j.trace,
 		Spans:       append([]obs.Span(nil), j.spans...),
 		State:       j.state,
 		Engine:      j.engine,
-		Worker:      j.worker,
-		Remote:      j.remote,
+		Worker:      worker,
+		Remote:      remote,
 		CacheHit:    j.cacheHit,
 		Coalesced:   j.coalesced,
 		Shards:      j.shards,
-		Reforwards:  reforwards,
 		Error:       j.errMsg,
 		SubmittedAt: j.submitted,
 		StartedAt:   j.started,
 		FinishedAt:  j.finished,
 	}
+	// Reforwards counts every task's moves between workers.
+	for _, t := range j.tasks {
+		if t.forwards > 1 {
+			st.Reforwards += t.forwards - 1
+		}
+	}
+	if j.points == 0 {
+		if len(j.tasks) == 1 {
+			st.Profile = j.tasks[0].profile
+		}
+		return st
+	}
+	st.Sweep, st.Points = true, j.points
+	var profiles []json.RawMessage
+	for _, t := range j.tasks {
+		st.PointsDone += t.pointsDone
+		state := "queued"
+		switch {
+		case t.state != "":
+			state = string(t.state)
+		case t.worker != "":
+			state = "running"
+		}
+		st.Ranges = append(st.Ranges, RangeInfo{
+			From:       t.from,
+			To:         t.to,
+			State:      state,
+			Worker:     t.worker,
+			Remote:     t.remote,
+			PointsDone: t.pointsDone,
+			Forwards:   t.forwards,
+			Error:      t.errMsg,
+		})
+		if j.profile {
+			profiles = append(profiles, t.profile)
+		}
+	}
+	if j.state == jobs.StateDone {
+		st.PointsDone = j.points // incl. terminal records recovered without ranges
+	}
+	st.Progress = float64(st.PointsDone) / float64(j.points)
+	if j.state.Terminal() {
+		st.Progress = 1
+	}
+	if j.state == jobs.StateRunning && st.PointsDone > 0 && st.PointsDone < j.points && !j.started.IsZero() {
+		st.ETA = time.Since(j.started) / time.Duration(st.PointsDone) * time.Duration(j.points-st.PointsDone)
+	}
+	// Per-kind tables merged over the ranges, in the same shape a single
+	// worker reports for a whole sweep.
+	st.Profile = jobs.MergeSweepProfiles(profiles)
+	return st
 }
 
 // List returns snapshots of every tracked job, newest first; a non-empty
@@ -1191,7 +984,8 @@ func (d *Dispatcher) Result(ctx context.Context, id string) (int, []byte, error)
 		d.mu.Unlock()
 		return 0, nil, fmt.Errorf("%w: %q", jobs.ErrNotFound, id)
 	}
-	state, workerName, remote, errMsg := j.state, j.worker, j.remote, j.errMsg
+	state, errMsg := j.state, j.errMsg
+	workerName, remote := j.assigned()
 	d.mu.Unlock()
 	switch state {
 	case jobs.StateFailed:
@@ -1226,16 +1020,18 @@ var ErrConflict = errors.New("fleet: conflict")
 // layer can serve it as a 500 exactly like a worker would.
 var ErrJobFailed = errors.New("fleet: job failed")
 
-// Cancel cancels a dispatched job. An unassigned job cancels locally; an
-// assigned one forwards DELETE to its owning worker under the caller's
-// context plus the request timeout, so a hung worker cannot wedge the
-// canceling goroutine. A worker that already forgot the job (it
+// Cancel cancels a dispatched job. An unassigned plain job cancels
+// locally; an assigned one forwards DELETE to its owning worker under the
+// caller's context plus the request timeout, so a hung worker cannot
+// wedge the canceling goroutine. A worker that already forgot the job (it
 // restarted) counts as canceled too — the runner would only re-run work
 // the client no longer wants. The DELETE races the runner's re-forward
 // path, so after each round trip the assignment is re-checked under the
 // lock: if the job moved workers meanwhile, the cancel chases it to the
-// new node rather than reporting success while a live copy keeps
-// running elsewhere.
+// new node rather than reporting success while a live copy keeps running
+// elsewhere. A sweep cancels locally first and then cancels every live
+// range's remote sub-sweep best-effort; a range that slips through keeps
+// running remotely but its results are never fetched.
 func (d *Dispatcher) Cancel(ctx context.Context, id string) (Status, error) {
 	for attempt := 0; attempt < 4; attempt++ {
 		d.mu.Lock()
@@ -1254,31 +1050,21 @@ func (d *Dispatcher) Cancel(ctx context.Context, id string) (Status, error) {
 			}
 			return st, fmt.Errorf("%w: %q is already %s", ErrConflict, id, st.State)
 		}
-		if j.sweep != nil {
-			// Cancel every assigned range's remote sub-sweep best-effort
-			// after finishing locally; the range watchers wake on done and
-			// exit. A range that slips through keeps running remotely but
-			// its results are never fetched.
-			type rloc struct{ worker, remote string }
-			var locs []rloc
-			for _, rg := range j.sweep.ranges {
-				if rg.worker != "" && !rg.done && !rg.failed {
-					if w := d.workers[rg.worker]; w != nil {
-						w.outstanding--
-					}
-					if rg.remote != "" {
-						locs = append(locs, rloc{rg.worker, rg.remote})
-					}
-				}
+		var live []task // worker/remote snapshots of tasks still running remotely
+		for _, t := range j.tasks {
+			if t.state == "" && t.worker != "" && t.remote != "" {
+				live = append(live, task{worker: t.worker, remote: t.remote})
 			}
+		}
+		if j.points > 0 || len(live) == 0 {
+			// The runners wake on done and exit.
 			d.finishLocked(j, jobs.StateCanceled)
-			d.enqueueLocked(j, store.Event{T: store.EvCanceled, Job: j.id, Trace: j.trace, At: j.finished})
 			st := d.statusLocked(j)
 			d.mu.Unlock()
-			for _, loc := range locs {
-				if w := d.workerByName(loc.worker); w != nil {
+			for _, t := range live {
+				if w := d.workerByName(t.worker); w != nil {
 					cctx, ccancel := context.WithTimeout(ctx, d.opts.RequestTimeout)
-					w.c.cancel(cctx, loc.remote)
+					w.c.cancel(cctx, t.remote)
 					ccancel()
 				}
 			}
@@ -1286,20 +1072,9 @@ func (d *Dispatcher) Cancel(ctx context.Context, id string) (Status, error) {
 			d.flushJob(j) // the 200 must not outrun the canceled event's fsync
 			return st, nil
 		}
-		workerName, remote := j.worker, j.remote
-		if workerName == "" || remote == "" {
-			// Not yet (or no longer) assigned: cancel locally; the runner
-			// wakes on done and exits.
-			d.finishLocked(j, jobs.StateCanceled)
-			d.enqueueLocked(j, store.Event{T: store.EvCanceled, Job: j.id, Trace: j.trace, At: j.finished})
-			st := d.statusLocked(j)
-			d.mu.Unlock()
-			d.flushDirty()
-			d.flushJob(j) // the 200 must not outrun the canceled event's fsync
-			return st, nil
-		}
 		d.mu.Unlock()
 
+		workerName, remote := live[0].worker, live[0].remote
 		w := d.workerByName(workerName)
 		cctx, cancel := context.WithTimeout(ctx, d.opts.RequestTimeout)
 		code, body, err := w.c.cancel(cctx, remote)
@@ -1310,7 +1085,7 @@ func (d *Dispatcher) Cancel(ctx context.Context, id string) (Status, error) {
 		switch code {
 		case http.StatusOK, http.StatusNotFound:
 			d.mu.Lock()
-			if j.worker != workerName || j.remote != remote {
+			if cur, curRemote := j.assigned(); cur != workerName || curRemote != remote {
 				// Re-forwarded while the DELETE was in flight: the copy we
 				// canceled is not the live one. Chase the new assignment.
 				d.mu.Unlock()
@@ -1318,7 +1093,6 @@ func (d *Dispatcher) Cancel(ctx context.Context, id string) (Status, error) {
 			}
 			if !j.state.Terminal() {
 				d.finishLocked(j, jobs.StateCanceled)
-				d.enqueueLocked(j, store.Event{T: store.EvCanceled, Job: j.id, Trace: j.trace, At: j.finished})
 			}
 			st := d.statusLocked(j)
 			d.mu.Unlock()

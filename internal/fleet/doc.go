@@ -21,6 +21,30 @@
 // duplicates are pinned to its worker even if the ring has shifted, so
 // dispatcher-level coalescing survives ejects and readmissions.
 //
+// # Tasks
+//
+// A dispatched job is a set of remote tasks, and one state machine
+// (runTask) moves every task through assign → poll → re-forward →
+// terminal: the worker is polled once right after each forward and then
+// every PollInterval, and ReforwardAfter consecutive poll failures (or a
+// worker that forgot the task) detach the task and forward it elsewhere.
+// A plain job is a one-task job whose task carries the whole bundle to
+// POST /v1/jobs. A sweep scatters its grid into one task per healthy
+// worker, each a contiguous range POSTed to POST /v1/sweeps as an
+// independent sub-sweep, so a lost worker re-runs only its own ranges.
+// One job-level fold turns task outcomes into the job's state, journal
+// events, spans and per-worker outstanding counts. Three decisions stay
+// kind-specific:
+//
+//   - routing: a plain job follows coalescing, affinity and the slack
+//     rule; a range goes to its scatter-time worker, else the least
+//     loaded;
+//   - an out-of-band cancel on the worker cancels a plain job, but fails
+//     a sweep with an error naming the lost range;
+//   - Cancel forwards DELETE to a plain job's worker and chases re-forwards,
+//     while a sweep cancels locally and then cancels its live ranges
+//     best-effort.
+//
 // # Health
 //
 // A prober polls every worker's /v1/stats on ProbeInterval. EjectAfter

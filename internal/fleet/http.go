@@ -3,13 +3,9 @@ package fleet
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
 	"net/http"
-	"strconv"
 	"time"
 
-	"repro/internal/bundle"
 	"repro/internal/jobs"
 	"repro/internal/obs"
 	"repro/internal/qop"
@@ -29,22 +25,24 @@ import (
 //	GET    /v1/stats            dispatcher + per-worker + fleet aggregate
 //
 // POST /v1/jobs?shards=N forwards the pin to whichever worker runs the
-// job. GET /v1/jobs/{id} and GET /v1/sweeps/{id} accept ?wait=<duration>
-// to long-poll: the response is delayed until the job turns terminal or
-// the duration (capped at 60s) elapses, whichever is first. Submissions
+// job, and POST /v1/sweeps?shards=N to every worker running one of the
+// sweep's ranges. GET /v1/jobs/{id} and GET /v1/sweeps/{id} accept
+// ?wait=<duration> to long-poll: the response is delayed until the job
+// turns terminal or the duration (capped at 60s) elapses, whichever is
+// first. Submissions
 // are accepted as long as the dispatcher is up — if no worker is
 // reachable the job queues (durably, when journaled) until the fleet
 // returns.
 func NewHandler(d *Dispatcher) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		handleSubmit(d, w, r)
+		handleSubmit(d, false, w, r)
 	})
 	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		handleList(d, w, r)
 	})
 	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		wait, ok := waitParam(w, r)
+		wait, ok := jobs.WaitParam(w, r)
 		if !ok {
 			return
 		}
@@ -56,7 +54,7 @@ func NewHandler(d *Dispatcher) http.Handler {
 		jobs.WriteJSON(w, http.StatusOK, statusToJSON(st))
 	})
 	mux.HandleFunc("POST /v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
-		handleSweepSubmit(d, w, r)
+		handleSubmit(d, true, w, r)
 	})
 	mux.HandleFunc("GET /v1/sweeps/{id}", func(w http.ResponseWriter, r *http.Request) {
 		handleSweepResult(d, w, r)
@@ -117,28 +115,6 @@ type statusJSON struct {
 	Profile json.RawMessage `json:"profile,omitempty"`
 }
 
-// maxLongPoll caps ?wait= so a stuck client cannot pin a handler
-// goroutine indefinitely; clients re-issue the poll to keep waiting.
-const maxLongPoll = 60 * time.Second
-
-// waitParam parses ?wait=<duration>. ok=false means the handler already
-// answered 400.
-func waitParam(w http.ResponseWriter, r *http.Request) (time.Duration, bool) {
-	raw := r.URL.Query().Get("wait")
-	if raw == "" {
-		return 0, true
-	}
-	d, err := time.ParseDuration(raw)
-	if err != nil || d < 0 {
-		jobs.WriteJSON(w, http.StatusBadRequest, jobs.ErrorJSON{Error: fmt.Sprintf("fleet: invalid wait %q", raw)})
-		return 0, false
-	}
-	if d > maxLongPoll {
-		d = maxLongPoll
-	}
-	return d, true
-}
-
 func statusToJSON(st Status) statusJSON {
 	out := statusJSON{
 		ID:          st.ID,
@@ -171,36 +147,21 @@ func statusToJSON(st Status) statusJSON {
 	return out
 }
 
-func handleSubmit(d *Dispatcher, w http.ResponseWriter, r *http.Request) {
-	defer r.Body.Close()
-	raw, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, jobs.MaxBodyBytes))
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			jobs.WriteJSON(w, http.StatusRequestEntityTooLarge,
-				jobs.ErrorJSON{Error: fmt.Sprintf("fleet: body exceeds %d bytes", jobs.MaxBodyBytes)})
-		} else {
-			jobs.WriteJSON(w, http.StatusBadRequest, jobs.ErrorJSON{Error: err.Error()})
-		}
+// handleSubmit serves POST /v1/jobs and, with sweep set, POST /v1/sweeps;
+// the request parses exactly as on a worker.
+func handleSubmit(d *Dispatcher, sweep bool, w http.ResponseWriter, r *http.Request) {
+	b, so, ok := jobs.ParseSubmit(w, r, qop.ValidateOptions{AllowMidCircuit: d.opts.AllowMidCircuit})
+	if !ok {
 		return
 	}
-	b, err := bundle.FromJSON(raw, qop.ValidateOptions{AllowMidCircuit: d.opts.AllowMidCircuit})
-	if err != nil {
-		jobs.WriteJSON(w, http.StatusBadRequest, jobs.ErrorJSON{Error: err.Error()})
-		return
-	}
-	pin := 0
-	if rawShards := r.URL.Query().Get("shards"); rawShards != "" {
-		pin, err = strconv.Atoi(rawShards)
-		if err != nil || pin < 0 {
-			jobs.WriteJSON(w, http.StatusBadRequest, jobs.ErrorJSON{Error: fmt.Sprintf("fleet: invalid shards %q", rawShards)})
-			return
-		}
-	}
-	st, err := d.SubmitTraced(b, pin, r.Header.Get(obs.TraceHeader), jobs.ProfileFlag(raw) || r.URL.Query().Get("profile") == "true")
+	st, err := d.accept(b, so.Shards, so.TraceID, so.Profile, sweep)
 	switch {
 	case errors.Is(err, jobs.ErrClosed):
 		jobs.WriteJSON(w, http.StatusServiceUnavailable, jobs.ErrorJSON{Error: err.Error()})
+		return
+	case err != nil && sweep:
+		// A malformed sweep (missing sweep block, empty or oversized grid).
+		jobs.WriteJSON(w, http.StatusBadRequest, jobs.ErrorJSON{Error: err.Error()})
 		return
 	case err != nil:
 		jobs.WriteJSON(w, http.StatusInternalServerError, jobs.ErrorJSON{Error: err.Error()})
@@ -209,27 +170,19 @@ func handleSubmit(d *Dispatcher, w http.ResponseWriter, r *http.Request) {
 	// Echo the accepted (possibly dispatcher-generated) trace ID so
 	// callers can correlate without parsing the body.
 	w.Header().Set(obs.TraceHeader, st.Trace)
-	jobs.WriteJSON(w, http.StatusAccepted, map[string]any{
-		"id": st.ID, "trace_id": st.Trace, "state": st.State, "cache_hit": st.CacheHit,
-	})
+	doc := map[string]any{"id": st.ID, "trace_id": st.Trace, "state": st.State}
+	if sweep {
+		doc["points"] = st.Points
+	} else {
+		doc["cache_hit"] = st.CacheHit
+	}
+	jobs.WriteJSON(w, http.StatusAccepted, doc)
 }
 
 func handleList(d *Dispatcher, w http.ResponseWriter, r *http.Request) {
-	state := jobs.State(r.URL.Query().Get("state"))
-	switch state {
-	case "", jobs.StateQueued, jobs.StateRunning, jobs.StateDone, jobs.StateFailed, jobs.StateCanceled:
-	default:
-		jobs.WriteJSON(w, http.StatusBadRequest, jobs.ErrorJSON{Error: fmt.Sprintf("fleet: unknown state %q", state)})
+	state, limit, ok := jobs.ListParams(w, r)
+	if !ok {
 		return
-	}
-	limit := 100
-	if raw := r.URL.Query().Get("limit"); raw != "" {
-		n, err := strconv.Atoi(raw)
-		if err != nil || n <= 0 {
-			jobs.WriteJSON(w, http.StatusBadRequest, jobs.ErrorJSON{Error: fmt.Sprintf("fleet: invalid limit %q", raw)})
-			return
-		}
-		limit = n
 	}
 	sts := d.List(state, limit)
 	out := struct {
@@ -267,41 +220,8 @@ func handleResult(d *Dispatcher, w http.ResponseWriter, r *http.Request) {
 	w.Write(body)
 }
 
-func handleSweepSubmit(d *Dispatcher, w http.ResponseWriter, r *http.Request) {
-	defer r.Body.Close()
-	raw, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, jobs.MaxBodyBytes))
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			jobs.WriteJSON(w, http.StatusRequestEntityTooLarge,
-				jobs.ErrorJSON{Error: fmt.Sprintf("fleet: body exceeds %d bytes", jobs.MaxBodyBytes)})
-		} else {
-			jobs.WriteJSON(w, http.StatusBadRequest, jobs.ErrorJSON{Error: err.Error()})
-		}
-		return
-	}
-	b, err := bundle.FromJSON(raw, qop.ValidateOptions{AllowMidCircuit: d.opts.AllowMidCircuit})
-	if err != nil {
-		jobs.WriteJSON(w, http.StatusBadRequest, jobs.ErrorJSON{Error: err.Error()})
-		return
-	}
-	st, err := d.SubmitSweepTraced(b, r.Header.Get(obs.TraceHeader), jobs.ProfileFlag(raw) || r.URL.Query().Get("profile") == "true")
-	switch {
-	case errors.Is(err, jobs.ErrClosed):
-		jobs.WriteJSON(w, http.StatusServiceUnavailable, jobs.ErrorJSON{Error: err.Error()})
-		return
-	case err != nil:
-		jobs.WriteJSON(w, http.StatusBadRequest, jobs.ErrorJSON{Error: err.Error()})
-		return
-	}
-	w.Header().Set(obs.TraceHeader, st.Trace)
-	jobs.WriteJSON(w, http.StatusAccepted, map[string]any{
-		"id": st.ID, "trace_id": st.Trace, "state": st.State, "points": st.Points,
-	})
-}
-
 func handleSweepResult(d *Dispatcher, w http.ResponseWriter, r *http.Request) {
-	wait, ok := waitParam(w, r)
+	wait, ok := jobs.WaitParam(w, r)
 	if !ok {
 		return
 	}

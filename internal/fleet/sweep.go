@@ -2,14 +2,15 @@
 // job, splits its point grid into contiguous ranges — one per healthy
 // worker — and forwards each range to its worker as an independent
 // sub-sweep bundle (the template with Context.Sweep.Points sliced).
-// Each range has its own watcher; when a worker dies mid-sweep only its
-// unfinished ranges re-forward, finished ranges keep their results where
-// they are. GET /v1/sweeps/{id} merges the per-range result sets back
-// into one globally indexed set. Because BindPoint strips the sweep
-// block before fingerprinting, a point bound from a sub-range template
-// is bit-identical — counts, cache key, intent fingerprint — to the same
-// point bound from the full template, which is what makes the scattered
-// result set indistinguishable from a single-node sweep.
+// Each range is one task of the job (see task.go) with its own watcher;
+// when a worker dies mid-sweep only its unfinished ranges re-forward,
+// finished ranges keep their results where they are. GET /v1/sweeps/{id}
+// merges the per-range result sets back into one globally indexed set.
+// Because BindPoint strips the sweep block before fingerprinting, a point
+// bound from a sub-range template is bit-identical — counts, cache key,
+// intent fingerprint — to the same point bound from the full template,
+// which is what makes the scattered result set indistinguishable from a
+// single-node sweep.
 
 package fleet
 
@@ -18,140 +19,16 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/bundle"
 	"repro/internal/jobs"
-	"repro/internal/jobs/store"
-	"repro/internal/obs"
 	"repro/internal/qop"
 )
 
 // ErrNotSweep marks a sweep-only operation on a plain job; the HTTP
 // layer maps it to 400.
 var ErrNotSweep = errors.New("fleet: not a sweep job")
-
-// sweepRange is one contiguous slice [from,to) of the point grid,
-// forwarded to a worker as an independent sub-sweep. Mutable fields are
-// guarded by Dispatcher.mu.
-type sweepRange struct {
-	from, to   int
-	raw        json.RawMessage // sub-sweep bundle for this range
-	prefer     string          // scatter-time worker choice, for initial spread
-	worker     string          // owning node ("" while unassigned)
-	remote     string          // sweep job ID on that node
-	avoid      string          // node to skip on the next forward
-	forwards   int
-	pointsDone int // remote progress, range-local
-	done       bool
-	failed     bool
-	errMsg     string
-	// profile is the worker's per-kind kernel profile for this range's
-	// sub-sweep, captured opaquely when the range completes (profiled
-	// submissions only).
-	profile json.RawMessage
-}
-
-// stateLocked names the range's lifecycle phase for status documents.
-// Callers hold Dispatcher.mu.
-func (r *sweepRange) stateLocked() string {
-	switch {
-	case r.failed:
-		return "failed"
-	case r.done:
-		return "done"
-	case r.worker != "":
-		return "running"
-	default:
-		return "queued"
-	}
-}
-
-// pointsDoneLocked is the range-local completed-point count. Callers
-// hold Dispatcher.mu.
-func (r *sweepRange) pointsDoneLocked() int {
-	if r.done {
-		return r.to - r.from
-	}
-	return r.pointsDone
-}
-
-// sweepScatter is the dispatcher-side state of one sweep job. ranges is
-// nil until runSweep scatters (and stays nil for terminal records
-// recovered from the journal — their per-range assignments are not
-// retained, only the merged outcome).
-type sweepScatter struct {
-	points int
-	ranges []*sweepRange
-}
-
-// pointsDoneLocked sums per-range progress. Callers hold Dispatcher.mu.
-func (s *sweepScatter) pointsDoneLocked() int {
-	n := 0
-	for _, r := range s.ranges {
-		n += r.pointsDoneLocked()
-	}
-	return n
-}
-
-// rangeProfileDoc mirrors the worker jobs layer's aggregated sweep
-// profile shape for merging range documents; kinds stay opaque rows.
-type rangeProfileDoc struct {
-	Points         int   `json:"points"`
-	PointsProfiled int   `json:"points_profiled"`
-	TotalNs        int64 `json:"total_ns"`
-	Kinds          []struct {
-		Kind    string `json:"kind"`
-		Kernels int    `json:"kernels"`
-		Ns      int64  `json:"ns"`
-	} `json:"kinds"`
-}
-
-// mergedProfileLocked folds the per-range worker profile documents into
-// one fleet-wide per-kind table, byte-compatible with a single worker's
-// aggregated sweep profile. Nil until at least one range reported a
-// profile (i.e. always nil for unprofiled sweeps). Callers hold
-// Dispatcher.mu.
-func (s *sweepScatter) mergedProfileLocked() json.RawMessage {
-	var out rangeProfileDoc
-	idx := map[string]int{}
-	seen := false
-	for _, r := range s.ranges {
-		if len(r.profile) == 0 {
-			continue
-		}
-		var doc rangeProfileDoc
-		if err := json.Unmarshal(r.profile, &doc); err != nil {
-			continue
-		}
-		seen = true
-		out.Points += doc.Points
-		out.PointsProfiled += doc.PointsProfiled
-		out.TotalNs += doc.TotalNs
-		for _, k := range doc.Kinds {
-			i, ok := idx[k.Kind]
-			if !ok {
-				i = len(out.Kinds)
-				idx[k.Kind] = i
-				out.Kinds = append(out.Kinds, k)
-				continue
-			}
-			out.Kinds[i].Kernels += k.Kernels
-			out.Kinds[i].Ns += k.Ns
-		}
-	}
-	if !seen {
-		return nil
-	}
-	sort.Slice(out.Kinds, func(i, j int) bool { return out.Kinds[i].Ns > out.Kinds[j].Ns })
-	raw, err := json.Marshal(out)
-	if err != nil {
-		return nil
-	}
-	return raw
-}
 
 // SubmitSweep accepts a parameter-sweep bundle as one dispatched job.
 func (d *Dispatcher) SubmitSweep(b *bundle.Bundle) (Status, error) {
@@ -163,78 +40,27 @@ func (d *Dispatcher) SubmitSweep(b *bundle.Bundle) (Status, error) {
 // acceptance. profile forwards to every range's worker, whose per-kind
 // kernel tables merge back into this job's status document.
 func (d *Dispatcher) SubmitSweepTraced(b *bundle.Bundle, traceID string, profile bool) (Status, error) {
-	if b == nil {
-		return Status{}, errors.New("fleet: nil bundle")
-	}
-	if b.Context == nil || b.Context.Sweep == nil {
-		return Status{}, errors.New("fleet: bundle has no sweep context block")
-	}
-	n := len(b.Context.Sweep.Points)
-	if n == 0 {
-		return Status{}, errors.New("fleet: sweep has no points")
-	}
-	if n > jobs.MaxSweepPoints {
-		return Status{}, fmt.Errorf("fleet: sweep has %d points, max %d", n, jobs.MaxSweepPoints)
-	}
-	key, err := jobs.CacheKey(b)
-	if err != nil {
-		return Status{}, err
-	}
-	raw, err := json.Marshal(b)
-	if err != nil {
-		return Status{}, fmt.Errorf("fleet: marshal bundle: %w", err)
-	}
-	engine := jobs.ResolveEngine(b)
-	now := time.Now()
-
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return Status{}, jobs.ErrClosed
-	}
-	d.nextID++
-	j := &fwdJob{
-		id:        fmt.Sprintf("job-%08d", d.nextID),
-		trace:     obs.EnsureTraceID(traceID),
-		key:       key,
-		engine:    engine,
-		raw:       raw,
-		profile:   profile,
-		state:     jobs.StateQueued,
-		submitted: now,
-		sweep:     &sweepScatter{points: n},
-		done:      make(chan struct{}),
-	}
-	// Sweeps skip the in-flight coalescing table: their work is spread
-	// over the fleet, so there is no single "primary worker" to pin a
-	// twin to.
-	d.jobs[j.id] = j
-	d.met.submitted.Inc()
-	d.met.sweeps.Inc()
-	j.spanLocked("queued", 0, fmt.Sprintf("sweep points=%d", n))
-	d.enqueueLocked(j, store.Event{T: store.EvSubmitted, Job: j.id, Trace: j.trace, At: now, Key: key, Engine: engine, Bundle: raw, Points: n, Profile: profile})
-	d.wg.Add(1)
-	st := d.statusLocked(j)
-	d.mu.Unlock()
-	d.log.Info("sweep accepted", "job", j.id, "trace", j.trace, "engine", engine, "points", n)
-	d.flushDirty()
-	d.flushJob(j) // the 202 must not outrun the submitted event's fsync
-	go d.runJob(j)
-	return st, nil
+	return d.accept(b, 0, traceID, profile, true)
 }
 
-// runSweep owns one sweep's scatter-and-watch lifecycle. Called from
-// runJob, which holds the WaitGroup slot.
-func (d *Dispatcher) runSweep(j *fwdJob) {
-	tmpl, err := bundle.FromJSON(j.raw, qop.ValidateOptions{AllowMidCircuit: d.opts.AllowMidCircuit})
+// scatter slices a sweep's grid into one range task per healthy worker,
+// waiting while none is reachable (the journal already holds the job).
+// It returns false, with nothing left to run, when the sweep ended first,
+// the dispatcher is closing, or the template cannot be sliced (which
+// fails the sweep).
+func (d *Dispatcher) scatter(j *fwdJob) bool {
+	d.mu.Lock()
+	raw := j.raw // nil once a cancel finished the sweep
+	d.mu.Unlock()
+	if raw == nil {
+		return false
+	}
+	tmpl, err := bundle.FromJSON(raw, qop.ValidateOptions{AllowMidCircuit: d.opts.AllowMidCircuit})
 	if err != nil {
 		d.failSweep(j, fmt.Sprintf("fleet: sweep template: %v", err))
-		return
+		return false
 	}
 	points := tmpl.Context.Sweep.Points
-
-	// Scatter over however many workers are healthy right now; with none
-	// reachable, wait — the journal already holds the job.
 	var names []string
 	for d.ctx.Err() == nil {
 		names = d.healthyNames()
@@ -245,17 +71,14 @@ func (d *Dispatcher) runSweep(j *fwdJob) {
 		terminal := j.state.Terminal()
 		d.mu.Unlock()
 		if terminal || !d.sleep(d.opts.ProbeInterval, j) {
-			return
+			return false
 		}
 	}
 	if d.ctx.Err() != nil {
-		return
+		return false
 	}
-	k := len(names)
-	if k > len(points) {
-		k = len(points)
-	}
-	ranges := make([]*sweepRange, 0, k)
+	k := min(len(names), len(points))
+	tasks := make([]*task, 0, k)
 	per, extra := len(points)/k, len(points)%k
 	from := 0
 	for i := 0; i < k; i++ {
@@ -266,232 +89,33 @@ func (d *Dispatcher) runSweep(j *fwdJob) {
 		sub, err := subSweepRaw(tmpl, from, to)
 		if err != nil {
 			d.failSweep(j, fmt.Sprintf("fleet: slice sweep range [%d,%d): %v", from, to, err))
-			return
+			return false
 		}
-		ranges = append(ranges, &sweepRange{from: from, to: to, raw: sub, prefer: names[i]})
+		tasks = append(tasks, &task{from: from, to: to, raw: sub, prefer: names[i]})
 		from = to
 	}
 
 	d.mu.Lock()
 	if j.state.Terminal() { // canceled while slicing
 		d.mu.Unlock()
-		return
+		return false
 	}
-	j.sweep.ranges = ranges
+	j.tasks = tasks
 	j.spanLocked("scattered", 0, fmt.Sprintf("%d points over %d ranges", len(points), k))
 	d.mu.Unlock()
 	d.log.Info("sweep scattered", "job", j.id, "trace", j.trace, "points", len(points), "ranges", k)
-
-	var wg sync.WaitGroup
-	for _, r := range ranges {
-		wg.Add(1)
-		go func(r *sweepRange) {
-			defer wg.Done()
-			d.runRange(j, r)
-		}(r)
-	}
-	wg.Wait()
-
-	d.mu.Lock()
-	if j.state.Terminal() {
-		d.mu.Unlock()
-		return
-	}
-	allDone, errMsg := true, ""
-	for _, r := range ranges {
-		if r.failed && errMsg == "" {
-			errMsg = r.errMsg
-		}
-		if !r.done {
-			allDone = false
-		}
-	}
-	switch {
-	case errMsg != "":
-		j.errMsg = errMsg
-		d.finishLocked(j, jobs.StateFailed)
-		d.enqueueLocked(j, store.Event{T: store.EvFailed, Job: j.id, Trace: j.trace, At: j.finished, Engine: j.engine, Error: errMsg})
-	case allDone:
-		d.finishLocked(j, jobs.StateDone)
-		d.enqueueLocked(j, store.Event{T: store.EvDone, Job: j.id, Trace: j.trace, At: j.finished, Engine: j.engine})
-	default:
-		// Dispatcher shutting down mid-sweep: the journal keeps the job
-		// queued; the next process life re-scatters it.
-		d.mu.Unlock()
-		return
-	}
-	d.mu.Unlock()
-	d.flushDirty()
+	return true
 }
 
 // failSweep marks the whole sweep failed before any range forwarded.
 func (d *Dispatcher) failSweep(j *fwdJob, msg string) {
 	d.mu.Lock()
-	if j.state.Terminal() {
-		d.mu.Unlock()
-		return
+	if !j.state.Terminal() {
+		j.errMsg = msg
+		d.finishLocked(j, jobs.StateFailed)
 	}
-	j.errMsg = msg
-	d.finishLocked(j, jobs.StateFailed)
-	d.enqueueLocked(j, store.Event{T: store.EvFailed, Job: j.id, Trace: j.trace, At: j.finished, Error: msg})
 	d.mu.Unlock()
 	d.flushDirty()
-}
-
-// runRange owns one range's forwarding lifecycle, mirroring runJob: it
-// assigns a worker, watches the remote sub-sweep, and re-forwards THIS
-// range — and only this range — when its worker dies or forgets it.
-func (d *Dispatcher) runRange(j *fwdJob, r *sweepRange) {
-	pollFails := 0
-	for d.ctx.Err() == nil {
-		d.mu.Lock()
-		if j.state.Terminal() || r.done || r.failed {
-			d.mu.Unlock()
-			return
-		}
-		workerName, remote := r.worker, r.remote
-		d.mu.Unlock()
-
-		if workerName == "" || remote == "" {
-			if !d.forwardRange(j, r) {
-				if !d.sleep(d.opts.ProbeInterval, j) {
-					return
-				}
-			}
-			pollFails = 0
-			continue
-		}
-
-		w := d.workerByName(workerName)
-		ctx, cancel := context.WithTimeout(d.ctx, d.opts.RequestTimeout)
-		st, notFound, err := w.c.status(ctx, remote)
-		cancel()
-		switch {
-		case err != nil:
-			pollFails++
-			if pollFails >= d.opts.ReforwardAfter {
-				d.detachRange(j, r, workerName)
-				pollFails = 0
-				continue
-			}
-		case notFound:
-			d.detachRange(j, r, workerName)
-			pollFails = 0
-			continue
-		default:
-			pollFails = 0
-			if d.observeRange(j, r, st) {
-				return
-			}
-		}
-		if !d.sleep(d.opts.PollInterval, j) {
-			return
-		}
-	}
-}
-
-// forwardRange assigns the range to a worker and POSTs its sub-sweep.
-// The scatter-time preferred node is tried first so concurrent ranges
-// spread across the fleet; on refusal it rotates through the remaining
-// healthy workers, least-loaded first, skipping the node that just lost
-// the range.
-func (d *Dispatcher) forwardRange(j *fwdJob, r *sweepRange) bool {
-	tried := map[string]bool{}
-	d.mu.Lock()
-	avoid, prefer := r.avoid, r.prefer
-	d.mu.Unlock()
-	if avoid != "" {
-		tried[avoid] = true
-	}
-	for round := 0; ; {
-		name := ""
-		if prefer != "" && !tried[prefer] && d.workerOK(prefer) {
-			name = prefer
-		} else {
-			name = d.leastLoaded(tried)
-		}
-		if name == "" {
-			if round == 0 && avoid != "" {
-				// Everything else is down; the avoided node may be the only
-				// fleet left. Allow it.
-				delete(tried, avoid)
-				round++
-				continue
-			}
-			return false
-		}
-		tried[name] = true
-		w := d.workerByName(name)
-		ctx, cancel := context.WithTimeout(d.ctx, d.opts.RequestTimeout)
-		rtStart := time.Now()
-		sub, err := w.c.submitSweep(ctx, r.raw, j.trace, j.profile)
-		rt := time.Since(rtStart)
-		cancel()
-		if err != nil {
-			continue // busy or unreachable: next candidate
-		}
-		d.met.roundtrip.Observe(rt)
-		d.mu.Lock()
-		if j.state.Terminal() { // canceled while forwarding
-			d.mu.Unlock()
-			cctx, ccancel := context.WithTimeout(d.ctx, d.opts.RequestTimeout)
-			w.c.cancel(cctx, sub.ID)
-			ccancel()
-			return true
-		}
-		r.worker, r.remote = name, sub.ID
-		r.avoid = ""
-		r.forwards++
-		reforward := r.forwards > 1
-		if reforward {
-			d.met.reforwarded.Inc()
-			j.spanLocked("assigned", rt, fmt.Sprintf("range [%d,%d) re-forwarded to %s as %s", r.from, r.to, name, sub.ID))
-		} else {
-			j.spanLocked("assigned", rt, fmt.Sprintf("range [%d,%d) to %s as %s", r.from, r.to, name, sub.ID))
-		}
-		d.met.forwarded.Inc()
-		w.outstanding++
-		d.enqueueLocked(j, store.Event{T: store.EvAssigned, Job: j.id, Trace: j.trace, At: time.Now(), Worker: name, Remote: sub.ID, From: r.from, To: r.to})
-		d.mu.Unlock()
-		if reforward {
-			d.log.Warn("sweep range re-forwarded", "job", j.id, "trace", j.trace, "from", r.from, "to", r.to, "worker", name, "remote", sub.ID)
-			obs.RecordDur(obs.FlightFleetForward, j.id, fmt.Sprintf("range [%d,%d) re-forwarded to %s as %s", r.from, r.to, name, sub.ID), rt)
-		} else {
-			d.log.Info("sweep range forwarded", "job", j.id, "trace", j.trace, "from", r.from, "to", r.to, "worker", name, "remote", sub.ID)
-			obs.RecordDur(obs.FlightFleetForward, j.id, fmt.Sprintf("range [%d,%d) to %s as %s", r.from, r.to, name, sub.ID), rt)
-		}
-		d.flushDirty()
-		return true
-	}
-}
-
-// workerOK reports whether the named worker exists and is healthy.
-func (d *Dispatcher) workerOK(name string) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	w := d.workers[name]
-	return w != nil && w.healthy
-}
-
-// leastLoaded picks the healthy worker with the fewest outstanding
-// dispatched jobs, excluding tried.
-func (d *Dispatcher) leastLoaded(tried map[string]bool) string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var least *worker
-	for _, name := range d.names {
-		w := d.workers[name]
-		if w == nil || !w.healthy || tried[name] {
-			continue
-		}
-		if least == nil || w.outstanding < least.outstanding {
-			least = w
-		}
-	}
-	if least == nil {
-		return ""
-	}
-	return least.name
 }
 
 // healthyNames snapshots the healthy workers in configured order.
@@ -505,88 +129,6 @@ func (d *Dispatcher) healthyNames() []string {
 		}
 	}
 	return out
-}
-
-// detachRange severs one range from a worker that died or forgot it;
-// the range's watcher forwards it elsewhere next. Other ranges keep
-// their assignments — only unfinished work moves.
-func (d *Dispatcher) detachRange(j *fwdJob, r *sweepRange, workerName string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if j.state.Terminal() || r.done || r.failed {
-		return
-	}
-	if r.worker != workerName { // raced with a re-forward
-		return
-	}
-	r.worker, r.remote = "", ""
-	r.avoid = workerName
-	r.pointsDone = 0 // the replacement worker re-runs the whole range
-	if w := d.workers[workerName]; w != nil {
-		w.outstanding--
-	}
-	j.spanLocked("detached", 0, fmt.Sprintf("range [%d,%d): worker %s lost the sub-sweep", r.from, r.to, workerName))
-	obs.Record(obs.FlightFleetDetach, j.id, fmt.Sprintf("range [%d,%d): worker %s lost the sub-sweep", r.from, r.to, workerName))
-	d.log.Warn("sweep range detached", "job", j.id, "trace", j.trace, "from", r.from, "to", r.to, "worker", workerName)
-}
-
-// observeRange folds a remote sub-sweep status into the range. Returns
-// true when the range reached a terminal state.
-func (d *Dispatcher) observeRange(j *fwdJob, r *sweepRange, st remoteStatus) bool {
-	d.mu.Lock()
-	if j.state.Terminal() || r.done || r.failed {
-		d.mu.Unlock()
-		return true
-	}
-	if st.Engine != "" {
-		j.engine = st.Engine
-	}
-	if st.PointsDone > r.pointsDone {
-		r.pointsDone = st.PointsDone
-	}
-	if len(st.Profile) > 0 {
-		// The sub-sweep's worker-aggregated kernel table; overwritten on
-		// re-forward so the table matches the execution that survived.
-		r.profile = st.Profile
-	}
-	enqueued := false
-	switch jobs.State(st.State) {
-	case jobs.StateRunning:
-		if j.state == jobs.StateQueued {
-			j.state = jobs.StateRunning
-			j.started = time.Now()
-			j.spanLocked("started", 0, "first range running on "+r.worker)
-			d.enqueueLocked(j, store.Event{T: store.EvStarted, Job: j.id, Trace: j.trace, At: j.started, Shards: st.Shards})
-			enqueued = true
-		}
-	case jobs.StateDone:
-		r.done = true
-		r.pointsDone = r.to - r.from
-		if w := d.workers[r.worker]; w != nil {
-			w.outstanding--
-		}
-		j.spanLocked("range done", 0, fmt.Sprintf("[%d,%d) on %s", r.from, r.to, r.worker))
-		obs.Record(obs.FlightSweepRange, j.id, fmt.Sprintf("range [%d,%d) done on %s", r.from, r.to, r.worker))
-	case jobs.StateFailed:
-		r.failed = true
-		r.errMsg = st.Error
-		if w := d.workers[r.worker]; w != nil {
-			w.outstanding--
-		}
-		j.spanLocked("range failed", 0, fmt.Sprintf("[%d,%d) on %s: %s", r.from, r.to, r.worker, st.Error))
-		obs.Record(obs.FlightSweepRange, j.id, fmt.Sprintf("range [%d,%d) failed on %s: %s", r.from, r.to, r.worker, st.Error))
-	case jobs.StateCanceled:
-		// Canceled out-of-band on the worker: treat as a range failure so
-		// the sweep surfaces it rather than hanging.
-		r.failed = true
-		r.errMsg = fmt.Sprintf("fleet: range [%d,%d) canceled on worker %s", r.from, r.to, r.worker)
-	}
-	terminal := r.done || r.failed
-	d.mu.Unlock()
-	if enqueued {
-		d.flushDirty()
-	}
-	return terminal
 }
 
 // subSweepRaw renders the template with its point grid sliced to
@@ -635,20 +177,15 @@ func (d *Dispatcher) SweepResult(ctx context.Context, id string) ([]SweepPointJS
 		d.mu.Unlock()
 		return nil, "", fmt.Errorf("%w: %q", jobs.ErrNotFound, id)
 	}
-	if j.sweep == nil {
+	if j.points == 0 {
 		d.mu.Unlock()
 		return nil, "", fmt.Errorf("%w: %q", ErrNotSweep, id)
 	}
-	state, engine, errMsg := j.state, j.engine, j.errMsg
-	type rloc struct {
-		from, to       int
-		worker, remote string
+	state, engine, errMsg, points := j.state, j.engine, j.errMsg, j.points
+	locs := make([]task, 0, len(j.tasks)) // range/worker snapshots
+	for _, t := range j.tasks {
+		locs = append(locs, task{from: t.from, to: t.to, worker: t.worker, remote: t.remote})
 	}
-	locs := make([]rloc, 0, len(j.sweep.ranges))
-	for _, r := range j.sweep.ranges {
-		locs = append(locs, rloc{from: r.from, to: r.to, worker: r.worker, remote: r.remote})
-	}
-	points := j.sweep.points
 	d.mu.Unlock()
 
 	switch state {

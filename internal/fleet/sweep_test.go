@@ -225,19 +225,18 @@ func TestFleetSweepRangeReforward(t *testing.T) {
 	// failures detach only that range. A point can start executing
 	// before the dispatcher records the assignment under its own lock,
 	// so poll until a range shows its worker.
-	d.mu.Lock()
-	j := d.jobs[st.ID]
-	d.mu.Unlock()
 	var victimURL string
 	for deadline := time.Now().Add(10 * time.Second); victimURL == "" && time.Now().Before(deadline); {
-		d.mu.Lock()
-		for _, r := range j.sweep.ranges {
-			if r.worker != "" {
-				victimURL = r.worker
+		cur, err := d.Status(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range cur.Ranges {
+			if r.Worker != "" {
+				victimURL = r.Worker
 				break
 			}
 		}
-		d.mu.Unlock()
 		if victimURL == "" {
 			time.Sleep(5 * time.Millisecond)
 		}
@@ -267,13 +266,11 @@ func TestFleetSweepRangeReforward(t *testing.T) {
 	}
 	// Every range ended on the surviving worker or finished before the
 	// death; none is still assigned to the victim.
-	d.mu.Lock()
-	for _, r := range j.sweep.ranges {
-		if !r.done {
-			t.Errorf("range [%d,%d) not done", r.from, r.to)
+	for _, r := range fin.Ranges {
+		if r.State != "done" {
+			t.Errorf("range [%d,%d) not done", r.From, r.To)
 		}
 	}
-	d.mu.Unlock()
 }
 
 // TestFleetSweepRecoveredTerminal: a terminal sweep replayed from the

@@ -61,7 +61,7 @@ const MaxBodyBytes = 8 << 20
 func NewHandler(p *Pool) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		handleSubmit(p, w, r)
+		handleSubmit(p, false, w, r)
 	})
 	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		handleList(p, w, r)
@@ -76,7 +76,7 @@ func NewHandler(p *Pool) http.Handler {
 		handleCancel(p, w, r)
 	})
 	mux.HandleFunc("POST /v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
-		handleSweepSubmit(p, w, r)
+		handleSubmit(p, true, w, r)
 	})
 	mux.HandleFunc("GET /v1/sweeps/{id}", func(w http.ResponseWriter, r *http.Request) {
 		handleSweepResult(p, w, r)
@@ -165,33 +165,46 @@ func ProfileFlag(raw []byte) bool {
 	return flags.Profile
 }
 
-// queryProfile reads the ?profile=true form of the flag.
-func queryProfile(r *http.Request) bool {
-	return r.URL.Query().Get("profile") == "true"
-}
-
-func handleSubmit(p *Pool, w http.ResponseWriter, r *http.Request) {
-	raw, err := readBody(w, r)
-	if err != nil {
-		return // readBody already replied
+// ParseSubmit parses a POST /v1/jobs or POST /v1/sweeps request: the
+// size-capped body, the bundle, the ?shards= pin, the profile flag (body
+// or ?profile=true) and the X-Trace-Id header. ok=false means it already
+// answered 413 or 400.
+func ParseSubmit(w http.ResponseWriter, r *http.Request, vo qop.ValidateOptions) (*bundle.Bundle, SubmitOptions, bool) {
+	var so SubmitOptions
+	raw, ok := ReadBody(w, r)
+	if !ok {
+		return nil, so, false
 	}
-	b, err := bundle.FromJSON(raw, qop.ValidateOptions{AllowMidCircuit: p.opts.Run.AllowMidCircuit})
+	b, err := bundle.FromJSON(raw, vo)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorJSON{err.Error()})
+		return nil, so, false
+	}
+	if rawShards := r.URL.Query().Get("shards"); rawShards != "" {
+		so.Shards, err = strconv.Atoi(rawShards)
+		if err != nil || so.Shards < 0 {
+			writeJSON(w, http.StatusBadRequest, errorJSON{fmt.Sprintf("jobs: invalid shards %q", rawShards)})
+			return nil, so, false
+		}
+	}
+	so.Profile = ProfileFlag(raw) || r.URL.Query().Get("profile") == "true"
+	so.TraceID = r.Header.Get(obs.TraceHeader)
+	return b, so, true
+}
+
+// handleSubmit serves POST /v1/jobs and, with sweep set, POST /v1/sweeps.
+func handleSubmit(p *Pool, sweep bool, w http.ResponseWriter, r *http.Request) {
+	b, so, ok := ParseSubmit(w, r, qop.ValidateOptions{AllowMidCircuit: p.opts.Run.AllowMidCircuit})
+	if !ok {
 		return
 	}
-	var so SubmitOptions
-	so.Profile = ProfileFlag(raw) || queryProfile(r)
-	if raw := r.URL.Query().Get("shards"); raw != "" {
-		shards, err := strconv.Atoi(raw)
-		if err != nil || shards < 0 {
-			writeJSON(w, http.StatusBadRequest, errorJSON{fmt.Sprintf("jobs: invalid shards %q", raw)})
-			return
-		}
-		so.Shards = shards
+	submit, invalid := p.submit, http.StatusInternalServerError
+	if sweep {
+		// Every other sweep error is a malformed submission (missing sweep
+		// block, empty or oversized grid, unkeyable bundle).
+		submit, invalid = p.submitSweep, http.StatusBadRequest
 	}
-	so.TraceID = r.Header.Get(obs.TraceHeader)
-	st, err := p.submit(b, so)
+	st, err := submit(b, so)
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", "1")
@@ -201,34 +214,48 @@ func handleSubmit(p *Pool, w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, errorJSON{err.Error()})
 		return
 	case err != nil:
-		writeJSON(w, http.StatusInternalServerError, errorJSON{err.Error()})
+		writeJSON(w, invalid, errorJSON{err.Error()})
 		return
 	}
 	// Echo the accepted (possibly server-generated) trace ID so callers
 	// can correlate without parsing the body.
 	w.Header().Set(obs.TraceHeader, st.Trace)
+	if sweep {
+		writeJSON(w, http.StatusAccepted, sweepSubmitJSON{ID: st.ID, TraceID: st.Trace, State: st.State, Points: st.Points})
+		return
+	}
 	writeJSON(w, http.StatusAccepted, submitJSON{ID: st.ID, TraceID: st.Trace, State: st.State, CacheHit: st.CacheHit})
 }
 
 // listDefaultLimit caps GET /v1/jobs responses unless ?limit= overrides.
 const listDefaultLimit = 100
 
-func handleList(p *Pool, w http.ResponseWriter, r *http.Request) {
+// ListParams parses GET /v1/jobs's ?state= filter and ?limit= cap
+// (default listDefaultLimit). ok=false means it already answered 400.
+func ListParams(w http.ResponseWriter, r *http.Request) (State, int, bool) {
 	state := State(r.URL.Query().Get("state"))
 	switch state {
 	case "", StateQueued, StateRunning, StateDone, StateFailed, StateCanceled:
 	default:
 		writeJSON(w, http.StatusBadRequest, errorJSON{fmt.Sprintf("jobs: unknown state %q", state)})
-		return
+		return "", 0, false
 	}
 	limit := listDefaultLimit
 	if raw := r.URL.Query().Get("limit"); raw != "" {
 		n, err := strconv.Atoi(raw)
 		if err != nil || n <= 0 {
 			writeJSON(w, http.StatusBadRequest, errorJSON{fmt.Sprintf("jobs: invalid limit %q", raw)})
-			return
+			return "", 0, false
 		}
 		limit = n
+	}
+	return state, limit, true
+}
+
+func handleList(p *Pool, w http.ResponseWriter, r *http.Request) {
+	state, limit, ok := ListParams(w, r)
+	if !ok {
+		return
 	}
 	sts := p.List(state, limit)
 	out := struct {
@@ -241,13 +268,15 @@ func handleList(p *Pool, w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// maxLongPoll caps the ?wait= long-poll duration so a handler goroutine
-// never hangs past proxy/server timeouts.
-const maxLongPoll = 60 * time.Second
+// MaxLongPoll caps the ?wait= long-poll duration so a handler goroutine
+// never hangs past proxy/server timeouts; clients re-issue the poll to
+// keep waiting.
+const MaxLongPoll = 60 * time.Second
 
-// waitParam parses the ?wait= long-poll duration. ok=false means the
-// parameter was present but invalid (the caller has already replied).
-func waitParam(w http.ResponseWriter, r *http.Request) (time.Duration, bool) {
+// WaitParam parses the ?wait= long-poll duration, capped at MaxLongPoll.
+// ok=false means the parameter was present but invalid (it already
+// answered 400).
+func WaitParam(w http.ResponseWriter, r *http.Request) (time.Duration, bool) {
 	raw := r.URL.Query().Get("wait")
 	if raw == "" {
 		return 0, true
@@ -257,14 +286,14 @@ func waitParam(w http.ResponseWriter, r *http.Request) (time.Duration, bool) {
 		writeJSON(w, http.StatusBadRequest, errorJSON{fmt.Sprintf("jobs: invalid wait %q", raw)})
 		return 0, false
 	}
-	if d > maxLongPoll {
-		d = maxLongPoll
+	if d > MaxLongPoll {
+		d = MaxLongPoll
 	}
 	return d, true
 }
 
 func handleStatus(p *Pool, w http.ResponseWriter, r *http.Request) {
-	wait, ok := waitParam(w, r)
+	wait, ok := WaitParam(w, r)
 	if !ok {
 		return
 	}
@@ -344,48 +373,8 @@ type sweepResultJSON struct {
 	Results    []sweepPointJSON `json:"results"`
 }
 
-func handleSweepSubmit(p *Pool, w http.ResponseWriter, r *http.Request) {
-	raw, err := readBody(w, r)
-	if err != nil {
-		return // readBody already replied
-	}
-	b, err := bundle.FromJSON(raw, qop.ValidateOptions{AllowMidCircuit: p.opts.Run.AllowMidCircuit})
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorJSON{err.Error()})
-		return
-	}
-	var so SubmitOptions
-	so.Profile = ProfileFlag(raw) || queryProfile(r)
-	if raw := r.URL.Query().Get("shards"); raw != "" {
-		shards, err := strconv.Atoi(raw)
-		if err != nil || shards < 0 {
-			writeJSON(w, http.StatusBadRequest, errorJSON{fmt.Sprintf("jobs: invalid shards %q", raw)})
-			return
-		}
-		so.Shards = shards
-	}
-	so.TraceID = r.Header.Get(obs.TraceHeader)
-	st, err := p.submitSweep(b, so)
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusTooManyRequests, errorJSON{err.Error()})
-		return
-	case errors.Is(err, ErrClosed):
-		writeJSON(w, http.StatusServiceUnavailable, errorJSON{err.Error()})
-		return
-	case err != nil:
-		// Everything else is a malformed sweep submission (missing sweep
-		// block, empty or oversized grid, unkeyable bundle).
-		writeJSON(w, http.StatusBadRequest, errorJSON{err.Error()})
-		return
-	}
-	w.Header().Set(obs.TraceHeader, st.Trace)
-	writeJSON(w, http.StatusAccepted, sweepSubmitJSON{ID: st.ID, TraceID: st.Trace, State: st.State, Points: st.Points})
-}
-
 func handleSweepResult(p *Pool, w http.ResponseWriter, r *http.Request) {
-	wait, ok := waitParam(w, r)
+	wait, ok := WaitParam(w, r)
 	if !ok {
 		return
 	}
@@ -507,8 +496,11 @@ func valueToJSON(v qdt.Value) any {
 	}
 }
 
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	raw, err := readAllLimited(r)
+// ReadBody reads a request body of at most MaxBodyBytes. ok=false means
+// it already answered 413 (too large) or 400 (unreadable).
+func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	defer r.Body.Close()
+	raw, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, MaxBodyBytes))
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
@@ -517,14 +509,9 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 		} else {
 			writeJSON(w, http.StatusBadRequest, errorJSON{err.Error()})
 		}
-		return nil, err
+		return nil, false
 	}
-	return raw, nil
-}
-
-func readAllLimited(r *http.Request) ([]byte, error) {
-	defer r.Body.Close()
-	return io.ReadAll(http.MaxBytesReader(nil, r.Body, MaxBodyBytes))
+	return raw, true
 }
 
 // WriteJSON writes one /v1 response document (indented, with the JSON

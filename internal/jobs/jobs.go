@@ -778,6 +778,32 @@ func (p *Pool) worker() {
 	}
 }
 
+// grantLocked sizes a starting job's shard grant and records it on the
+// job; plain jobs and sweeps share this one policy. An explicit pin wins.
+// Otherwise a job starting into an otherwise idle pool takes the full cap
+// so one big simulation spans every core, while a job running alongside
+// others (or with more work queued) stays single-shard. Grants are
+// clamped to MaxShards. Callers hold p.mu and have already counted the
+// job in p.running.
+func (p *Pool) grantLocked(j *job) int {
+	granted := j.shards
+	if granted <= 0 {
+		if p.running == 1 && len(p.pending) == 0 {
+			granted = p.opts.MaxShards
+		} else {
+			granted = 1
+		}
+	}
+	if granted > p.opts.MaxShards {
+		granted = p.opts.MaxShards
+	}
+	j.granted = granted
+	if granted > 1 {
+		p.met.wideJobs.Inc()
+	}
+	return granted
+}
+
 func (p *Pool) runJob(j *job) {
 	// j.sweep is assigned before the job ever enters the pending queue
 	// (under p.mu at submit or recovery), and the worker dequeued j under
@@ -845,24 +871,7 @@ func (p *Pool) runJob(j *job) {
 	j.started = time.Now()
 	p.running++
 	p.inflight[j.key] = j
-	// Shard grant: a job starting into an otherwise idle pool takes the
-	// full cap so one big simulation spans every core; a job running
-	// alongside others (or with more work queued) stays single-shard.
-	granted := j.shards
-	if granted <= 0 {
-		if p.running == 1 && len(p.pending) == 0 {
-			granted = p.opts.MaxShards
-		} else {
-			granted = 1
-		}
-	}
-	if granted > p.opts.MaxShards {
-		granted = p.opts.MaxShards
-	}
-	j.granted = granted
-	if granted > 1 {
-		p.met.wideJobs.Inc()
-	}
+	granted := p.grantLocked(j)
 	p.met.queueWait.Observe(j.started.Sub(j.submitted))
 	j.spanLocked("started", j.started.Sub(j.submitted), fmt.Sprintf("shards=%d", granted))
 	p.journal(store.Event{T: store.EvStarted, Job: j.id, At: j.started, Shards: granted})

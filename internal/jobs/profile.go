@@ -83,13 +83,14 @@ type sweepProfileJSON struct {
 }
 
 // aggregateSweepProfiles folds the per-point Meta["profile"] tables of a
-// completed sweep into one per-kind summary document. Points served from
-// the cache of an unprofiled run carry no profile and are counted out via
-// PointsProfiled; nil when no point carried a profile.
+// completed sweep into one per-kind summary document. Each point becomes
+// a one-point partial table; points served from the cache of an
+// unprofiled run carry no profile and are counted out via PointsProfiled.
+// Nil when no point carried a profile.
 func aggregateSweepProfiles(results []*result.Result) json.RawMessage {
-	agg := map[string]*sweepKindJSON{}
-	out := sweepProfileJSON{Points: len(results)}
-	for _, res := range results {
+	parts := make([]sweepProfileJSON, len(results))
+	for i, res := range results {
+		parts[i].Points = 1
 		raw := profileRaw(res)
 		if raw == nil {
 			continue
@@ -98,25 +99,61 @@ func aggregateSweepProfiles(results []*result.Result) json.RawMessage {
 		if err := json.Unmarshal(raw, &pv); err != nil {
 			continue
 		}
-		out.PointsProfiled++
-		out.TotalNs += pv.TotalNs
+		parts[i].PointsProfiled = 1
+		parts[i].TotalNs = pv.TotalNs
 		for _, k := range pv.Kernels {
-			row := agg[k.Kind]
-			if row == nil {
-				row = &sweepKindJSON{Kind: k.Kind}
-				agg[k.Kind] = row
+			parts[i].Kinds = append(parts[i].Kinds, sweepKindJSON{Kind: k.Kind, Kernels: 1, Ns: k.Ns})
+		}
+	}
+	return mergeSweepProfiles(parts)
+}
+
+// MergeSweepProfiles folds aggregated sweep profile documents — such as
+// the per-range tables a fleet dispatcher collects from the workers that
+// ran a scattered sweep — into one document of the same shape. Empty or
+// unreadable documents are skipped; nil when no point was profiled.
+func MergeSweepProfiles(docs []json.RawMessage) json.RawMessage {
+	parts := make([]sweepProfileJSON, 0, len(docs))
+	for _, raw := range docs {
+		var part sweepProfileJSON
+		if len(raw) > 0 && json.Unmarshal(raw, &part) == nil {
+			parts = append(parts, part)
+		}
+	}
+	return mergeSweepProfiles(parts)
+}
+
+// mergeSweepProfiles is the one per-kind fold behind every sweep profile
+// document: point counts and totals add up, rows of the same kernel kind
+// merge, and kinds sort by time, ties by name, so the document never
+// depends on map iteration order. Nil when no point was profiled.
+func mergeSweepProfiles(parts []sweepProfileJSON) json.RawMessage {
+	var out sweepProfileJSON
+	idx := map[string]int{}
+	for _, part := range parts {
+		out.Points += part.Points
+		out.PointsProfiled += part.PointsProfiled
+		out.TotalNs += part.TotalNs
+		for _, k := range part.Kinds {
+			i, ok := idx[k.Kind]
+			if !ok {
+				idx[k.Kind] = len(out.Kinds)
+				out.Kinds = append(out.Kinds, k)
+				continue
 			}
-			row.Kernels++
-			row.Ns += k.Ns
+			out.Kinds[i].Kernels += k.Kernels
+			out.Kinds[i].Ns += k.Ns
 		}
 	}
 	if out.PointsProfiled == 0 {
 		return nil
 	}
-	for _, row := range agg {
-		out.Kinds = append(out.Kinds, *row)
-	}
-	sort.Slice(out.Kinds, func(i, j int) bool { return out.Kinds[i].Ns > out.Kinds[j].Ns })
+	sort.Slice(out.Kinds, func(a, b int) bool {
+		if out.Kinds[a].Ns != out.Kinds[b].Ns {
+			return out.Kinds[a].Ns > out.Kinds[b].Ns
+		}
+		return out.Kinds[a].Kind < out.Kinds[b].Kind
+	})
 	raw, err := json.Marshal(out)
 	if err != nil {
 		return nil

@@ -142,24 +142,9 @@ func (p *Pool) runSweepJob(j *job) {
 	j.state = StateRunning
 	j.started = time.Now()
 	p.running++
-	// Same shard grant policy as plain jobs: a sweep starting into an
-	// otherwise idle pool takes the full cap (the points run sequentially,
-	// each wide); alongside other work it stays narrow.
-	granted := j.shards
-	if granted <= 0 {
-		if p.running == 1 && len(p.pending) == 0 {
-			granted = p.opts.MaxShards
-		} else {
-			granted = 1
-		}
-	}
-	if granted > p.opts.MaxShards {
-		granted = p.opts.MaxShards
-	}
-	j.granted = granted
-	if granted > 1 {
-		p.met.wideJobs.Inc()
-	}
+	// The points run sequentially, so a sweep alone in the pool runs each
+	// point wide.
+	granted := p.grantLocked(j)
 	b := j.bundle
 	sw := b.Context.Sweep
 	n := len(sw.Points)
