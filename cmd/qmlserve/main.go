@@ -213,6 +213,23 @@ func main() {
 	}
 }
 
+// Timeouts of every listener qmlserve opens. There is deliberately no
+// WriteTimeout: a ?wait= long-poll holds its response for up to
+// jobs.MaxLongPoll.
+const (
+	// readHeaderTimeout bounds how long a client may take to send its
+	// request headers, so a slow or stalled client cannot hold a
+	// connection open before its request even starts.
+	readHeaderTimeout = 10 * time.Second
+	// idleTimeout closes keep-alive connections left idle this long.
+	idleTimeout = 2 * time.Minute
+)
+
+// newServer wraps h in an http.Server with qmlserve's timeouts.
+func newServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 // startDebug brings up the -debug-addr listener: net/http/pprof's
 // handlers plus a /metrics copy, on its own mux so none of it leaks onto
 // the service address. Returns a stop func (nil addr = no-op).
@@ -235,7 +252,7 @@ func startDebug(cfg config) (func(), error) {
 	if err != nil {
 		return nil, fmt.Errorf("debug listener: %w", err)
 	}
-	srv := &http.Server{Handler: mux}
+	srv := newServer(mux)
 	go srv.Serve(ln)
 	cfg.log.Info("qmlserve debug listening", "addr", ln.Addr().String())
 	return func() { srv.Close() }, nil
@@ -293,7 +310,7 @@ func runDispatch(cfg config, dispatch string, probeInterval, pollInterval time.D
 		}
 		return err
 	}
-	srv := &http.Server{Handler: fleet.NewHandler(d)}
+	srv := newServer(fleet.NewHandler(d))
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -378,7 +395,7 @@ func run(cfg config, workers, queue, cache, maxShards int) error {
 		}
 		return err
 	}
-	srv := &http.Server{Handler: jobs.NewHandler(pool)}
+	srv := newServer(jobs.NewHandler(pool))
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

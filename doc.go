@@ -71,7 +71,11 @@
 // dispatcher that fronts N worker qmlserve nodes over the same /v1
 // protocol the workers speak, so workers need zero changes to join a
 // fleet and clients cannot tell the front-end from a single node
-// (qmlserve -dispatch w1,w2,...). Routing is load-aware (least
+// (qmlserve -dispatch w1,w2,...). Both tiers are served by one handler
+// (jobs.NewServiceHandler): it owns the routes, request parsing, the
+// error→status table, the trace echo and every document, and each tier
+// plugs in only its submit, lookups, result and sweep results, cancel,
+// engines and stats (jobs.Service). Routing is load-aware (least
 // outstanding dispatched jobs) with cache-key affinity via consistent
 // hashing — identical bundles land on the worker that already caches
 // their result, and duplicates of an in-flight job are pinned to its

@@ -12,12 +12,19 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/jobs"
 	"repro/internal/obs"
 )
 
 // errWorkerBusy is a worker's 429 backpressure translated into a routing
 // signal: try another node rather than failing the submission.
 var errWorkerBusy = errors.New("fleet: worker queue full")
+
+// unreachable keeps a failed worker call's message and marks it for the
+// handler's 502 (jobs.ErrUnreachable).
+type unreachable struct{ error }
+
+func (e unreachable) Unwrap() []error { return []error{e.error, jobs.ErrUnreachable} }
 
 // client speaks the /v1 worker protocol. Every call runs under both the
 // caller's context and the http.Client's hard timeout, so a worker that
@@ -62,10 +69,6 @@ type remoteStatus struct {
 	// aggregate). Proxied opaquely — the dispatcher never parses it, so
 	// worker-side profile schema evolution needs no fleet change.
 	Profile json.RawMessage `json:"profile"`
-}
-
-type remoteError struct {
-	Error string `json:"error"`
 }
 
 // submit POSTs a task's bundle to path: the canonical job bundle to
@@ -235,7 +238,7 @@ func (c *client) get(ctx context.Context, path string) (*http.Response, error) {
 }
 
 func decodeErr(code int, body []byte) string {
-	var re remoteError
+	var re jobs.ErrorJSON
 	if json.Unmarshal(body, &re) == nil && re.Error != "" {
 		return fmt.Sprintf("%d: %s", code, re.Error)
 	}

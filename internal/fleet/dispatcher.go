@@ -200,65 +200,15 @@ func newFleetMetrics(reg *obs.Registry, d *Dispatcher) *fleetMetrics {
 	return m
 }
 
-// Status is one dispatched job's externally visible snapshot.
-type Status struct {
-	ID string
-	// Trace is the job's fleet-wide trace ID (inbound X-Trace-Id, or
-	// dispatcher-generated); Spans its dispatch lifecycle log.
-	Trace  string
-	Spans  []obs.Span
-	State  jobs.State
-	Engine string
-	// Worker is the fleet node currently (or finally) owning the job;
-	// Remote is the job's ID in that worker's own pool.
-	Worker string
-	Remote string
-	// CacheHit and Coalesced mirror the owning worker's verdict for the
-	// remote job (served from its cache / attached to its in-flight twin).
-	CacheHit  bool
-	Coalesced bool
-	Shards    int
-	// Reforwards counts how many times the job changed workers.
-	Reforwards int
-	// Sweep marks a parameter-sweep job; Points is its grid size and
-	// PointsDone the fleet-wide per-point progress summed over ranges.
-	Sweep      bool
-	Points     int
-	PointsDone int
-	// Progress is the completed-point fraction for sweeps (0..1, 1 once
-	// terminal); ETA extrapolates the remaining run time of a running
-	// sweep from fleet-wide progress so far. Both zero for plain jobs.
-	Progress float64
-	ETA      time.Duration
-	// Ranges is the per-range dispatch detail of a sweep: which worker
-	// owns each slice of the grid and how far along it is. Nil for plain
-	// jobs and for terminal sweeps recovered without range assignments.
-	Ranges []RangeInfo
-	// Profile is the kernel-granular execution profile of a profiled
-	// job, proxied opaquely from the owning worker's status document
-	// (for sweeps: per-kind tables merged over the ranges). Nil unless
-	// the submission asked for profiling and the work has completed.
-	Profile     json.RawMessage
-	Error       string
-	SubmittedAt time.Time
-	StartedAt   time.Time
-	FinishedAt  time.Time
-}
+// Status is one dispatched job's externally visible snapshot: the same
+// type a worker's pool reports, with the fleet-only fields (Worker,
+// Remote, Reforwards, Ranges) filled in. CacheHit and Coalesced mirror
+// the owning worker's verdict; Profile is proxied from the worker (for
+// sweeps, per-kind tables merged over the ranges).
+type Status = jobs.Status
 
-// RangeInfo is one sweep range's dispatch snapshot in a fleet status
-// document: the [From,To) grid slice, its owning worker and remote
-// sub-sweep ID, and range-local progress.
-type RangeInfo struct {
-	From       int    `json:"from"`
-	To         int    `json:"to"`
-	State      string `json:"state"` // queued | running | done | failed
-	Worker     string `json:"worker,omitempty"`
-	Remote     string `json:"remote,omitempty"`
-	PointsDone int    `json:"points_done"`
-	// Forwards counts handoffs; >1 means the range moved workers.
-	Forwards int    `json:"forwards"`
-	Error    string `json:"error,omitempty"`
-}
+// RangeInfo is one sweep range's dispatch snapshot (see jobs.RangeInfo).
+type RangeInfo = jobs.RangeInfo
 
 type worker struct {
 	name        string
@@ -882,11 +832,15 @@ func (d *Dispatcher) statusLocked(j *fwdJob) Status {
 		StartedAt:   j.started,
 		FinishedAt:  j.finished,
 	}
+	st.QueueWait, st.RunTime = jobs.Durations(j.submitted, j.started, j.finished)
 	// Reforwards counts every task's moves between workers.
 	for _, t := range j.tasks {
 		if t.forwards > 1 {
 			st.Reforwards += t.forwards - 1
 		}
+	}
+	if j.state.Terminal() {
+		st.Progress = 1 // as on a worker, for plain jobs too
 	}
 	if j.points == 0 {
 		if len(j.tasks) == 1 {
@@ -922,9 +876,8 @@ func (d *Dispatcher) statusLocked(j *fwdJob) Status {
 	if j.state == jobs.StateDone {
 		st.PointsDone = j.points // incl. terminal records recovered without ranges
 	}
-	st.Progress = float64(st.PointsDone) / float64(j.points)
-	if j.state.Terminal() {
-		st.Progress = 1
+	if !j.state.Terminal() {
+		st.Progress = float64(st.PointsDone) / float64(j.points)
 	}
 	if j.state == jobs.StateRunning && st.PointsDone > 0 && st.PointsDone < j.points && !j.started.IsZero() {
 		st.ETA = time.Since(j.started) / time.Duration(st.PointsDone) * time.Duration(j.points-st.PointsDone)
@@ -976,7 +929,9 @@ func (d *Dispatcher) Wait(id string) (Status, error) {
 
 // Result proxies the job's result document from its owning worker,
 // returning the worker's HTTP status code and body verbatim. Jobs that
-// never reached a worker follow the pool's error semantics.
+// never reached a worker follow the pool's error semantics; a done job
+// whose worker cannot serve the document fails with
+// jobs.ErrUnreachable.
 func (d *Dispatcher) Result(ctx context.Context, id string) (int, []byte, error) {
 	d.mu.Lock()
 	j, ok := d.jobs[id]
@@ -989,22 +944,22 @@ func (d *Dispatcher) Result(ctx context.Context, id string) (int, []byte, error)
 	d.mu.Unlock()
 	switch state {
 	case jobs.StateFailed:
-		return 0, nil, fmt.Errorf("%w: %s", ErrJobFailed, errMsg)
+		return 0, nil, errors.New(errMsg) // served as a worker serves its own failure
 	case jobs.StateCanceled:
 		return 0, nil, fmt.Errorf("%w: %q", jobs.ErrCanceled, id)
 	case jobs.StateDone:
 		if workerName == "" || remote == "" {
-			return 0, nil, fmt.Errorf("fleet: job %q has no worker assignment on record", id)
+			return 0, nil, unreachable{fmt.Errorf("fleet: job %q has no worker assignment on record", id)}
 		}
 		w := d.workerByName(workerName)
 		if w == nil {
-			return 0, nil, fmt.Errorf("fleet: job %q belongs to unknown worker %q", id, workerName)
+			return 0, nil, unreachable{fmt.Errorf("fleet: job %q belongs to unknown worker %q", id, workerName)}
 		}
 		cctx, cancel := context.WithTimeout(ctx, d.opts.RequestTimeout)
 		defer cancel()
 		code, body, err := w.c.resultRaw(cctx, remote)
 		if err != nil {
-			return 0, nil, err
+			return 0, nil, unreachable{err}
 		}
 		return code, body, nil
 	default:
@@ -1013,12 +968,9 @@ func (d *Dispatcher) Result(ctx context.Context, id string) (int, []byte, error)
 }
 
 // ErrConflict marks a cancel refused by state (already terminal, or
-// running remotely and not preemptible); the HTTP layer maps it to 409.
-var ErrConflict = errors.New("fleet: conflict")
-
-// ErrJobFailed wraps a dispatched job's execution failure so the HTTP
-// layer can serve it as a 500 exactly like a worker would.
-var ErrJobFailed = errors.New("fleet: job failed")
+// running remotely and not preemptible), exactly as on a worker; the
+// handler maps it to 409.
+var ErrConflict = jobs.ErrConflict
 
 // Cancel cancels a dispatched job. An unassigned plain job cancels
 // locally; an assigned one forwards DELETE to its owning worker under the
@@ -1080,7 +1032,7 @@ func (d *Dispatcher) Cancel(ctx context.Context, id string) (Status, error) {
 		code, body, err := w.c.cancel(cctx, remote)
 		cancel()
 		if err != nil {
-			return Status{}, fmt.Errorf("fleet: cancel %q on %s: %w", id, workerName, err)
+			return Status{}, unreachable{fmt.Errorf("fleet: cancel %q on %s: %w", id, workerName, err)}
 		}
 		switch code {
 		case http.StatusOK, http.StatusNotFound:
@@ -1103,7 +1055,7 @@ func (d *Dispatcher) Cancel(ctx context.Context, id string) (Status, error) {
 			return Status{}, fmt.Errorf("%w: %s", ErrConflict, decodeErr(code, body))
 		}
 	}
-	return Status{}, fmt.Errorf("fleet: cancel %q: assignment kept moving; retry", id)
+	return Status{}, unreachable{fmt.Errorf("fleet: cancel %q: assignment kept moving; retry", id)}
 }
 
 // Engines returns the union of engine names across healthy workers.

@@ -402,10 +402,18 @@ func TestCancelCoalescedDuplicateRemote(t *testing.T) {
 // releases the calling goroutine within RequestTimeout.
 func TestHungWorkerDoesNotWedge(t *testing.T) {
 	registerFake(t, "fake.fleet_hung")
+	// Hold every request until the client gives up or the test ends.
+	// net/http never cancels r.Context() for a POST whose body the handler
+	// did not read, so the stop channel is what lets hung.Close return.
+	stop := make(chan struct{})
 	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		<-r.Context().Done() // hold every request until the client gives up
+		select {
+		case <-r.Context().Done():
+		case <-stop:
+		}
 	}))
 	defer hung.Close()
+	defer close(stop) // runs first: releases held handlers so Close can finish
 	opts := Options{
 		Workers:        []string{hung.URL},
 		RequestTimeout: 200 * time.Millisecond,

@@ -4,7 +4,13 @@
 // join a fleet — the dispatcher is just another /v1 client — and clients
 // need zero changes to use one: POST /v1/jobs, GET status/result, DELETE
 // cancel, /v1/jobs history and /v1/stats all behave as on a single node,
-// with the fleet behind them.
+// with the fleet behind them. They are served by the very handler a
+// worker runs: NewHandler plugs the Dispatcher into
+// jobs.NewServiceHandler as a jobs.Service, and a dispatched job's Status
+// is a jobs.Status with the fleet-only fields (worker, remote ID,
+// reforwards, sweep ranges) filled in, so both tiers share one status
+// document and one error→status table. The only status a worker never
+// serves is 502: the worker owning a job could not be reached.
 //
 // # Routing
 //
@@ -33,8 +39,9 @@
 // worker, each a contiguous range POSTed to POST /v1/sweeps as an
 // independent sub-sweep, so a lost worker re-runs only its own ranges.
 // One job-level fold turns task outcomes into the job's state, journal
-// events, spans and per-worker outstanding counts. Three decisions stay
-// kind-specific:
+// events, spans and per-worker outstanding counts; statusLocked folds the
+// tasks into the job's one status snapshot (a sweep's ranges become
+// Status.Ranges). Three decisions stay kind-specific:
 //
 //   - routing: a plain job follows coalescing, affinity and the slack
 //     rule; a range goes to its scatter-time worker, else the least

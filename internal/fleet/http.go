@@ -1,283 +1,61 @@
 package fleet
 
 import (
-	"encoding/json"
-	"errors"
+	"context"
 	"net/http"
-	"time"
 
+	"repro/internal/bundle"
 	"repro/internal/jobs"
 	"repro/internal/obs"
 	"repro/internal/qop"
 )
 
-// NewHandler exposes a Dispatcher over the same /v1 surface the workers
-// serve, so clients cannot tell a fleet front-end from a single node:
+// NewHandler exposes a Dispatcher on the same /v1 routes a worker serves
+// (the table is at jobs.NewHandler), through the same handler, so
+// clients cannot tell a fleet front-end from a single node. What differs
+// behind the routes:
 //
-//	POST   /v1/jobs             submit → routed to a worker (202 {id,state})
-//	GET    /v1/jobs             fleet-merged history (?state=&limit=)
-//	GET    /v1/jobs/{id}        dispatch status incl. worker + remote ID
-//	GET    /v1/jobs/{id}/result result proxied from the owning worker
-//	DELETE /v1/jobs/{id}        cancel, forwarded to the owning worker
-//	POST   /v1/sweeps           parameter sweep → scattered range-wise (202)
-//	GET    /v1/sweeps/{id}      merged, globally indexed per-point results
-//	GET    /v1/engines          union of engines across healthy workers
-//	GET    /v1/stats            dispatcher + per-worker + fleet aggregate
+//   - status documents add the owning worker, its remote job ID, the
+//     reforward count and, for sweeps, the per-range detail (ranges);
+//   - GET /v1/jobs lists the dispatcher's own table, which is the
+//     fleet-merged history;
+//   - GET /v1/jobs/{id}/result relays the owning worker's document and
+//     status code byte for byte;
+//   - GET /v1/sweeps/{id} merges the ranges' result sets, re-indexed to
+//     global grid indices;
+//   - DELETE /v1/jobs/{id} forwards to the owning worker;
+//   - GET /v1/engines is the union over healthy workers (503 when none
+//     answers), and GET /v1/stats is {dispatcher, workers, fleet, build};
+//   - a worker that cannot be reached (or answers something unusable)
+//     surfaces as 502.
 //
 // POST /v1/jobs?shards=N forwards the pin to whichever worker runs the
 // job, and POST /v1/sweeps?shards=N to every worker running one of the
-// sweep's ranges. GET /v1/jobs/{id} and GET /v1/sweeps/{id} accept
-// ?wait=<duration> to long-poll: the response is delayed until the job
-// turns terminal or the duration (capped at 60s) elapses, whichever is
-// first. Submissions
-// are accepted as long as the dispatcher is up — if no worker is
-// reachable the job queues (durably, when journaled) until the fleet
-// returns.
+// sweep's ranges. Submissions are accepted as long as the dispatcher is
+// up — if no worker is reachable the job queues (durably, when
+// journaled) until the fleet returns.
 func NewHandler(d *Dispatcher) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		handleSubmit(d, false, w, r)
-	})
-	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		handleList(d, w, r)
-	})
-	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		wait, ok := jobs.WaitParam(w, r)
-		if !ok {
-			return
-		}
-		st, err := d.WaitTimeout(r.PathValue("id"), wait)
-		if err != nil {
-			jobs.WriteJSON(w, http.StatusNotFound, jobs.ErrorJSON{Error: err.Error()})
-			return
-		}
-		jobs.WriteJSON(w, http.StatusOK, statusToJSON(st))
-	})
-	mux.HandleFunc("POST /v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
-		handleSubmit(d, true, w, r)
-	})
-	mux.HandleFunc("GET /v1/sweeps/{id}", func(w http.ResponseWriter, r *http.Request) {
-		handleSweepResult(d, w, r)
-	})
-	mux.HandleFunc("GET /v1/jobs/{id}/result", func(w http.ResponseWriter, r *http.Request) {
-		handleResult(d, w, r)
-	})
-	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		handleCancel(d, w, r)
-	})
-	mux.HandleFunc("GET /v1/engines", func(w http.ResponseWriter, r *http.Request) {
-		engines, err := d.Engines(r.Context())
-		if err != nil {
-			jobs.WriteJSON(w, http.StatusServiceUnavailable, jobs.ErrorJSON{Error: err.Error()})
-			return
-		}
-		jobs.WriteJSON(w, http.StatusOK, map[string]any{"engines": engines})
-	})
-	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		jobs.WriteJSON(w, http.StatusOK, map[string]any{
-			"dispatcher": d.Stats(),
-			"workers":    d.WorkerInfos(),
-			"fleet":      d.FleetStats(),
-			"build":      obs.Build(),
-		})
-	})
-	// The dispatcher's own instruments plus the process-wide registry
-	// (go_*/build_info when the server registered them there) in one
-	// exposition.
-	mux.Handle("GET /metrics", obs.Handler(d.reg, obs.Default()))
-	return obs.Recover(mux, d.log, d.reg.Counter("http_panics_total", "Handler panics recovered by the middleware."))
+	return jobs.NewServiceHandler(service{d}, qop.ValidateOptions{AllowMidCircuit: d.opts.AllowMidCircuit}, d.log)
 }
 
-type statusJSON struct {
-	ID          string      `json:"id"`
-	TraceID     string      `json:"trace_id,omitempty"`
-	State       jobs.State  `json:"state"`
-	Engine      string      `json:"engine,omitempty"`
-	Worker      string      `json:"worker,omitempty"`
-	Remote      string      `json:"remote,omitempty"`
-	CacheHit    bool        `json:"cache_hit"`
-	Coalesced   bool        `json:"coalesced,omitempty"`
-	Shards      int         `json:"shards,omitempty"`
-	Reforwards  int         `json:"reforwards,omitempty"`
-	Sweep       bool        `json:"sweep,omitempty"`
-	Points      int         `json:"points,omitempty"`
-	PointsDone  int         `json:"points_done,omitempty"`
-	Progress    float64     `json:"progress,omitempty"`
-	EtaMS       float64     `json:"eta_ms,omitempty"`
-	Ranges      []RangeInfo `json:"ranges,omitempty"`
-	Error       string      `json:"error,omitempty"`
-	SubmittedAt string      `json:"submitted_at"`
-	StartedAt   string      `json:"started_at,omitempty"`
-	FinishedAt  string      `json:"finished_at,omitempty"`
-	Spans       []obs.Span  `json:"spans,omitempty"`
-	// Profile is the kernel-granular execution profile proxied from the
-	// owning worker (profiled submissions only).
-	Profile json.RawMessage `json:"profile,omitempty"`
+// service adapts a Dispatcher to jobs.Service; the Dispatcher's own
+// WaitTimeout, List, Result, Cancel, Engines and Metrics already fit.
+type service struct{ *Dispatcher }
+
+func (s service) Accept(b *bundle.Bundle, o jobs.SubmitOptions, sweep bool) (Status, error) {
+	return s.accept(b, o.Shards, o.TraceID, o.Profile, sweep)
 }
 
-func statusToJSON(st Status) statusJSON {
-	out := statusJSON{
-		ID:          st.ID,
-		TraceID:     st.Trace,
-		Spans:       st.Spans,
-		State:       st.State,
-		Engine:      st.Engine,
-		Worker:      st.Worker,
-		Remote:      st.Remote,
-		CacheHit:    st.CacheHit,
-		Coalesced:   st.Coalesced,
-		Shards:      st.Shards,
-		Reforwards:  st.Reforwards,
-		Sweep:       st.Sweep,
-		Points:      st.Points,
-		PointsDone:  st.PointsDone,
-		Progress:    st.Progress,
-		EtaMS:       float64(st.ETA) / float64(time.Millisecond),
-		Ranges:      st.Ranges,
-		Profile:     st.Profile,
-		Error:       st.Error,
-		SubmittedAt: st.SubmittedAt.UTC().Format(time.RFC3339Nano),
-	}
-	if !st.StartedAt.IsZero() {
-		out.StartedAt = st.StartedAt.UTC().Format(time.RFC3339Nano)
-	}
-	if !st.FinishedAt.IsZero() {
-		out.FinishedAt = st.FinishedAt.UTC().Format(time.RFC3339Nano)
-	}
-	return out
+func (s service) SweepPoints(ctx context.Context, id string) ([]jobs.SweepPoint, error) {
+	points, _, err := s.SweepResult(ctx, id)
+	return points, err
 }
 
-// handleSubmit serves POST /v1/jobs and, with sweep set, POST /v1/sweeps;
-// the request parses exactly as on a worker.
-func handleSubmit(d *Dispatcher, sweep bool, w http.ResponseWriter, r *http.Request) {
-	b, so, ok := jobs.ParseSubmit(w, r, qop.ValidateOptions{AllowMidCircuit: d.opts.AllowMidCircuit})
-	if !ok {
-		return
+func (s service) StatsDoc() any {
+	return map[string]any{
+		"dispatcher": s.Stats(),
+		"workers":    s.WorkerInfos(),
+		"fleet":      s.FleetStats(),
+		"build":      obs.Build(),
 	}
-	st, err := d.accept(b, so.Shards, so.TraceID, so.Profile, sweep)
-	switch {
-	case errors.Is(err, jobs.ErrClosed):
-		jobs.WriteJSON(w, http.StatusServiceUnavailable, jobs.ErrorJSON{Error: err.Error()})
-		return
-	case err != nil && sweep:
-		// A malformed sweep (missing sweep block, empty or oversized grid).
-		jobs.WriteJSON(w, http.StatusBadRequest, jobs.ErrorJSON{Error: err.Error()})
-		return
-	case err != nil:
-		jobs.WriteJSON(w, http.StatusInternalServerError, jobs.ErrorJSON{Error: err.Error()})
-		return
-	}
-	// Echo the accepted (possibly dispatcher-generated) trace ID so
-	// callers can correlate without parsing the body.
-	w.Header().Set(obs.TraceHeader, st.Trace)
-	doc := map[string]any{"id": st.ID, "trace_id": st.Trace, "state": st.State}
-	if sweep {
-		doc["points"] = st.Points
-	} else {
-		doc["cache_hit"] = st.CacheHit
-	}
-	jobs.WriteJSON(w, http.StatusAccepted, doc)
-}
-
-func handleList(d *Dispatcher, w http.ResponseWriter, r *http.Request) {
-	state, limit, ok := jobs.ListParams(w, r)
-	if !ok {
-		return
-	}
-	sts := d.List(state, limit)
-	out := struct {
-		Jobs  []statusJSON `json:"jobs"`
-		Count int          `json:"count"`
-	}{Jobs: make([]statusJSON, len(sts)), Count: len(sts)}
-	for i, st := range sts {
-		out.Jobs[i] = statusToJSON(st)
-	}
-	jobs.WriteJSON(w, http.StatusOK, out)
-}
-
-func handleResult(d *Dispatcher, w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	code, body, err := d.Result(r.Context(), id)
-	if err != nil {
-		switch {
-		case errors.Is(err, jobs.ErrNotFound):
-			jobs.WriteJSON(w, http.StatusNotFound, jobs.ErrorJSON{Error: err.Error()})
-		case errors.Is(err, jobs.ErrNotFinished):
-			jobs.WriteJSON(w, http.StatusAccepted, jobs.ErrorJSON{Error: err.Error()})
-		case errors.Is(err, jobs.ErrCanceled):
-			jobs.WriteJSON(w, http.StatusGone, jobs.ErrorJSON{Error: err.Error()})
-		case errors.Is(err, ErrJobFailed):
-			jobs.WriteJSON(w, http.StatusInternalServerError, jobs.ErrorJSON{Error: err.Error()})
-		default:
-			// Proxy/transport error reaching the owning worker.
-			jobs.WriteJSON(w, http.StatusBadGateway, jobs.ErrorJSON{Error: err.Error()})
-		}
-		return
-	}
-	// Relay the worker's document (and verdict) verbatim.
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	w.Write(body)
-}
-
-func handleSweepResult(d *Dispatcher, w http.ResponseWriter, r *http.Request) {
-	wait, ok := jobs.WaitParam(w, r)
-	if !ok {
-		return
-	}
-	id := r.PathValue("id")
-	st, err := d.WaitTimeout(id, wait)
-	if err != nil {
-		jobs.WriteJSON(w, http.StatusNotFound, jobs.ErrorJSON{Error: err.Error()})
-		return
-	}
-	merged, engine, err := d.SweepResult(r.Context(), id)
-	if err != nil {
-		switch {
-		case errors.Is(err, jobs.ErrNotFound):
-			jobs.WriteJSON(w, http.StatusNotFound, jobs.ErrorJSON{Error: err.Error()})
-		case errors.Is(err, ErrNotSweep):
-			jobs.WriteJSON(w, http.StatusBadRequest, jobs.ErrorJSON{Error: err.Error()})
-		case errors.Is(err, jobs.ErrNotFinished):
-			// Still in flight: answer progress, mirroring the worker tier.
-			jobs.WriteJSON(w, http.StatusAccepted, statusToJSON(st))
-		case errors.Is(err, jobs.ErrCanceled):
-			jobs.WriteJSON(w, http.StatusGone, jobs.ErrorJSON{Error: err.Error()})
-		case errors.Is(err, ErrJobFailed):
-			jobs.WriteJSON(w, http.StatusInternalServerError, jobs.ErrorJSON{Error: err.Error()})
-		default:
-			jobs.WriteJSON(w, http.StatusBadGateway, jobs.ErrorJSON{Error: err.Error()})
-		}
-		return
-	}
-	doc := map[string]any{
-		"id":          st.ID,
-		"trace_id":    st.Trace,
-		"state":       st.State,
-		"engine":      engine,
-		"points":      st.Points,
-		"points_done": st.PointsDone,
-		"progress":    st.Progress,
-		"results":     merged,
-	}
-	if len(st.Profile) > 0 {
-		doc["profile"] = st.Profile
-	}
-	jobs.WriteJSON(w, http.StatusOK, doc)
-}
-
-func handleCancel(d *Dispatcher, w http.ResponseWriter, r *http.Request) {
-	st, err := d.Cancel(r.Context(), r.PathValue("id"))
-	if err != nil {
-		switch {
-		case errors.Is(err, jobs.ErrNotFound):
-			jobs.WriteJSON(w, http.StatusNotFound, jobs.ErrorJSON{Error: err.Error()})
-		case errors.Is(err, ErrConflict):
-			jobs.WriteJSON(w, http.StatusConflict, jobs.ErrorJSON{Error: err.Error()})
-		default:
-			jobs.WriteJSON(w, http.StatusBadGateway, jobs.ErrorJSON{Error: err.Error()})
-		}
-		return
-	}
-	jobs.WriteJSON(w, http.StatusOK, statusToJSON(st))
 }

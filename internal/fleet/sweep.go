@@ -26,21 +26,13 @@ import (
 	"repro/internal/qop"
 )
 
-// ErrNotSweep marks a sweep-only operation on a plain job; the HTTP
-// layer maps it to 400.
+// ErrNotSweep marks a sweep-only operation on a plain job.
 var ErrNotSweep = errors.New("fleet: not a sweep job")
 
 // SubmitSweep accepts a parameter-sweep bundle as one dispatched job.
+// The grid journals as ONE record; the scatter happens after acceptance.
 func (d *Dispatcher) SubmitSweep(b *bundle.Bundle) (Status, error) {
-	return d.SubmitSweepTraced(b, "", false)
-}
-
-// SubmitSweepTraced is SubmitSweep with an explicit trace ID and profile
-// flag. The grid journals as ONE record; the scatter happens after
-// acceptance. profile forwards to every range's worker, whose per-kind
-// kernel tables merge back into this job's status document.
-func (d *Dispatcher) SubmitSweepTraced(b *bundle.Bundle, traceID string, profile bool) (Status, error) {
-	return d.accept(b, 0, traceID, profile, true)
+	return d.accept(b, 0, "", false, true)
 }
 
 // scatter slices a sweep's grid into one range task per healthy worker,
@@ -150,13 +142,7 @@ func subSweepRaw(tmpl *bundle.Bundle, from, to int) (json.RawMessage, error) {
 
 // SweepPointJSON is one merged per-point result in a dispatcher sweep
 // result document; Index is the global grid index.
-type SweepPointJSON struct {
-	Index   int            `json:"index"`
-	Engine  string         `json:"engine,omitempty"`
-	Samples int            `json:"samples,omitempty"`
-	Entries []any          `json:"entries"`
-	Meta    map[string]any `json:"meta,omitempty"`
-}
+type SweepPointJSON = jobs.SweepPoint
 
 // remoteSweepDoc is a worker's GET /v1/sweeps/{id} document (the fields
 // the dispatcher merges).
@@ -169,7 +155,8 @@ type remoteSweepDoc struct {
 // workers into one globally indexed set. Only terminal sweeps answer;
 // a sweep recovered as terminal from the journal after a dispatcher
 // restart no longer knows its range assignments and reports that
-// explicitly.
+// explicitly. Once the sweep is known to be done, every error is the
+// ranges' workers' (jobs.ErrUnreachable).
 func (d *Dispatcher) SweepResult(ctx context.Context, id string) ([]SweepPointJSON, string, error) {
 	d.mu.Lock()
 	j, ok := d.jobs[id]
@@ -190,7 +177,7 @@ func (d *Dispatcher) SweepResult(ctx context.Context, id string) ([]SweepPointJS
 
 	switch state {
 	case jobs.StateFailed:
-		return nil, "", fmt.Errorf("%w: %s", ErrJobFailed, errMsg)
+		return nil, "", errors.New(errMsg) // served as a worker serves its own failure
 	case jobs.StateCanceled:
 		return nil, "", fmt.Errorf("%w: %q", jobs.ErrCanceled, id)
 	case jobs.StateDone:
@@ -198,40 +185,50 @@ func (d *Dispatcher) SweepResult(ctx context.Context, id string) ([]SweepPointJS
 		return nil, "", fmt.Errorf("%w: %q is %s", jobs.ErrNotFinished, id, state)
 	}
 	if len(locs) == 0 {
-		return nil, "", fmt.Errorf("fleet: sweep %q finished before this dispatcher started; its range assignments were not retained — resubmit the sweep", id)
+		return nil, "", unreachable{fmt.Errorf("fleet: sweep %q finished before this dispatcher started; its range assignments were not retained — resubmit the sweep", id)}
 	}
+	merged, err := d.mergeRanges(ctx, id, points, locs)
+	if err != nil {
+		return nil, "", unreachable{err}
+	}
+	return merged, engine, nil
+}
+
+// mergeRanges fetches each range's sub-sweep result set from its worker
+// and re-indexes the points to global grid indices.
+func (d *Dispatcher) mergeRanges(ctx context.Context, id string, points int, locs []task) ([]SweepPointJSON, error) {
 	merged := make([]SweepPointJSON, points)
 	for _, loc := range locs {
 		w := d.workerByName(loc.worker)
 		if w == nil {
-			return nil, "", fmt.Errorf("fleet: sweep %q range [%d,%d) belongs to unknown worker %q", id, loc.from, loc.to, loc.worker)
+			return nil, fmt.Errorf("fleet: sweep %q range [%d,%d) belongs to unknown worker %q", id, loc.from, loc.to, loc.worker)
 		}
 		cctx, cancel := context.WithTimeout(ctx, d.opts.RequestTimeout)
 		code, body, err := w.c.sweepResultRaw(cctx, loc.remote)
 		cancel()
 		if err != nil {
-			return nil, "", err
+			return nil, err
 		}
 		if code != 200 {
-			return nil, "", fmt.Errorf("fleet: %s: sweep result for range [%d,%d): %s", loc.worker, loc.from, loc.to, decodeErr(code, body))
+			return nil, fmt.Errorf("fleet: %s: sweep result for range [%d,%d): %s", loc.worker, loc.from, loc.to, decodeErr(code, body))
 		}
 		var doc remoteSweepDoc
 		if err := json.Unmarshal(body, &doc); err != nil {
-			return nil, "", fmt.Errorf("fleet: %s: sweep result body: %w", loc.worker, err)
+			return nil, fmt.Errorf("fleet: %s: sweep result body: %w", loc.worker, err)
 		}
 		if len(doc.Results) != loc.to-loc.from {
-			return nil, "", fmt.Errorf("fleet: %s answered %d results for range [%d,%d)", loc.worker, len(doc.Results), loc.from, loc.to)
+			return nil, fmt.Errorf("fleet: %s answered %d results for range [%d,%d)", loc.worker, len(doc.Results), loc.from, loc.to)
 		}
 		for _, pt := range doc.Results {
 			gi := loc.from + pt.Index
 			if gi < 0 || gi >= points {
-				return nil, "", fmt.Errorf("fleet: %s answered out-of-range point %d for range [%d,%d)", loc.worker, pt.Index, loc.from, loc.to)
+				return nil, fmt.Errorf("fleet: %s answered out-of-range point %d for range [%d,%d)", loc.worker, pt.Index, loc.from, loc.to)
 			}
 			pt.Index = gi
 			merged[gi] = pt
 		}
 	}
-	return merged, engine, nil
+	return merged, nil
 }
 
 // WaitTimeout blocks until the job is terminal or the duration elapses,

@@ -118,7 +118,9 @@ func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCanceled
 }
 
-// Sentinel errors returned by Pool methods.
+// Sentinel errors returned by Pool methods (and, through the shared
+// handler, by the fleet dispatcher); statusOf maps each to its /v1
+// status code.
 var (
 	// ErrQueueFull is the backpressure signal: the bounded queue is
 	// saturated and the submission was rejected, not enqueued.
@@ -131,6 +133,12 @@ var (
 	ErrNotFinished = errors.New("jobs: job not finished")
 	// ErrCanceled means the job was canceled before it ran.
 	ErrCanceled = errors.New("jobs: job canceled")
+	// ErrConflict means the job's state refuses a cancel: it is already
+	// terminal, or running and not preemptible.
+	ErrConflict = errors.New("jobs: cannot cancel")
+	// ErrUnreachable marks a failed call to the worker that owns a job:
+	// the fleet tier could not reach it or could not use its answer.
+	ErrUnreachable = errors.New("jobs: worker unreachable")
 )
 
 // Options configure a Pool. The zero value is usable: NumCPU workers, a
@@ -241,6 +249,49 @@ type Status struct {
 	// Spans is the job's lifecycle log: queued/started/stage timings/
 	// persisted/terminal, in order, with monotonic timestamps.
 	Spans []obs.Span
+
+	// The fields below are set by the fleet dispatcher only.
+
+	// Worker is the fleet node currently (or finally) owning the job;
+	// Remote is the job's ID in that worker's own pool.
+	Worker string
+	Remote string
+	// Reforwards counts how many times the job changed workers.
+	Reforwards int
+	// Ranges is the per-range dispatch detail of a sweep: which worker
+	// owns each slice of the grid and how far along it is. Nil for plain
+	// jobs and for terminal sweeps recovered without range assignments.
+	Ranges []RangeInfo
+}
+
+// RangeInfo is one sweep range's dispatch snapshot in a fleet status
+// document: the [From,To) grid slice, its owning worker and remote
+// sub-sweep ID, and range-local progress.
+type RangeInfo struct {
+	From       int    `json:"from"`
+	To         int    `json:"to"`
+	State      string `json:"state"` // queued | running | done | failed
+	Worker     string `json:"worker,omitempty"`
+	Remote     string `json:"remote,omitempty"`
+	PointsDone int    `json:"points_done"`
+	// Forwards counts handoffs; >1 means the range moved workers.
+	Forwards int    `json:"forwards"`
+	Error    string `json:"error,omitempty"`
+}
+
+// Durations derives Status.QueueWait and Status.RunTime from a job's
+// submitted, started and finished times (zero times: not reached yet).
+func Durations(submitted, started, finished time.Time) (queue, run time.Duration) {
+	switch {
+	case !started.IsZero():
+		queue = started.Sub(submitted)
+		if !finished.IsZero() {
+			run = finished.Sub(started)
+		}
+	case !finished.IsZero(): // cache hit or canceled in queue
+		queue = finished.Sub(submitted)
+	}
+	return queue, run
 }
 
 // Stats aggregates pool-level counters and timing metrics.
@@ -596,27 +647,41 @@ type SubmitOptions struct {
 // executing, the job coalesces onto it and completes when it does. A
 // saturated queue rejects with ErrQueueFull.
 func (p *Pool) Submit(b *bundle.Bundle) (string, error) {
-	st, err := p.submit(b, SubmitOptions{})
+	st, err := p.accept(b, SubmitOptions{}, false)
 	return st.ID, err
 }
 
 // SubmitWith is Submit with per-job execution hints.
 func (p *Pool) SubmitWith(b *bundle.Bundle, o SubmitOptions) (string, error) {
-	st, err := p.submit(b, o)
+	st, err := p.accept(b, o, false)
 	return st.ID, err
 }
 
-// submit does the work of Submit and additionally returns the job's
-// status snapshot from the same critical section, so callers (the HTTP
-// front-end) need no follow-up lookup that could miss an already-evicted
-// record.
-func (p *Pool) submit(b *bundle.Bundle, o SubmitOptions) (Status, error) {
+// accept does the work of Submit or, with sweep set, SubmitSweep, and
+// additionally returns the job's status snapshot from the same critical
+// section, so callers (the HTTP front-end) need no follow-up lookup that
+// could miss an already-evicted record.
+func (p *Pool) accept(b *bundle.Bundle, o SubmitOptions, sweep bool) (Status, error) {
 	if b == nil {
 		return Status{}, fmt.Errorf("jobs: nil bundle")
 	}
+	points := 0
+	if sweep {
+		if b.Context == nil || b.Context.Sweep == nil {
+			return Status{}, fmt.Errorf("jobs: sweep submission without a sweep context block")
+		}
+		if points = len(b.Context.Sweep.Points); points == 0 {
+			return Status{}, fmt.Errorf("jobs: sweep has no points")
+		}
+		if points > MaxSweepPoints {
+			return Status{}, fmt.Errorf("jobs: sweep has %d points, max %d", points, MaxSweepPoints)
+		}
+	}
 	// The content address feeds both the result cache and in-flight
-	// coalescing; profiled submissions key separately so the profile's
-	// presence is deterministic in the submission.
+	// coalescing; a sweep template's own address (the sweep block is part
+	// of the context, so it never collides with a per-point key) only
+	// identifies it in the journal. Profiled submissions key separately so
+	// the profile's presence is deterministic in the submission.
 	key, err := CacheKey(b)
 	if err != nil {
 		return Status{}, err
@@ -652,7 +717,10 @@ func (p *Pool) submit(b *bundle.Bundle, o SubmitOptions) (Status, error) {
 		submitted: now,
 		done:      make(chan struct{}),
 	}
-	if p.cache != nil {
+	submitted := store.Event{T: store.EvSubmitted, Job: j.id, At: now, Trace: j.trace, Key: key, Engine: engine, Bundle: rawBundle, Pin: o.Shards, Profile: o.Profile, Points: points}
+	// Sweeps skip the whole-sweep cache and in-flight coalescing: the
+	// per-point caches below them make re-running a sweep cheap anyway.
+	if !sweep && p.cache != nil {
 		res, hit := p.cache.get(key)
 		if !hit && p.opts.Store != nil {
 			// Second-level lookup: the result may live on disk (from a
@@ -688,13 +756,13 @@ func (p *Pool) submit(b *bundle.Bundle, o SubmitOptions) (Status, error) {
 	// journal still records it as an independent queued job: if the
 	// process dies before the primary finishes, the waiter requeues on
 	// its own at recovery.
-	if primary, ok := p.inflight[key]; ok {
+	if primary, ok := p.inflight[key]; ok && !sweep {
 		attachLocked(primary, j)
 		j.spanLocked("queued", 0, "coalesced onto "+primary.id)
 		p.jobs[j.id] = j
 		p.met.submitted.Inc()
 		p.met.coalesced.Inc()
-		p.journal(store.Event{T: store.EvSubmitted, Job: j.id, At: now, Trace: j.trace, Key: key, Engine: engine, Bundle: rawBundle, Pin: o.Shards, Profile: o.Profile})
+		p.journal(submitted)
 		obs.Record(obs.FlightJobQueued, j.id, "coalesced onto "+primary.id)
 		p.log.Info("job coalesced", "job", j.id, "trace", j.trace, "engine", engine, "primary", primary.id)
 		return p.statusLocked(j), nil
@@ -703,13 +771,23 @@ func (p *Pool) submit(b *bundle.Bundle, o SubmitOptions) (Status, error) {
 		p.met.rejected.Inc()
 		return Status{}, ErrQueueFull
 	}
-	j.spanLocked("queued", 0, "")
+	note := ""
+	if sweep {
+		j.sweep = &sweepState{points: points}
+		note = fmt.Sprintf("sweep points=%d", points)
+		p.met.sweeps.Inc()
+	}
+	j.spanLocked("queued", 0, note)
 	p.pending = append(p.pending, j)
 	p.jobs[j.id] = j
 	p.met.submitted.Inc()
-	p.journal(store.Event{T: store.EvSubmitted, Job: j.id, At: now, Trace: j.trace, Key: key, Engine: engine, Bundle: rawBundle, Pin: o.Shards, Profile: o.Profile})
-	obs.Record(obs.FlightJobQueued, j.id, "")
-	p.log.Info("job queued", "job", j.id, "trace", j.trace, "engine", engine)
+	p.journal(submitted)
+	obs.Record(obs.FlightJobQueued, j.id, note)
+	if sweep {
+		p.log.Info("sweep queued", "job", j.id, "trace", j.trace, "engine", engine, "points", points)
+	} else {
+		p.log.Info("job queued", "job", j.id, "trace", j.trace, "engine", engine)
+	}
 	p.cond.Signal()
 	return p.statusLocked(j), nil
 }
@@ -1035,15 +1113,7 @@ func (p *Pool) statusLocked(j *job) Status {
 	if j.err != nil {
 		s.Error = j.err.Error()
 	}
-	switch {
-	case !j.started.IsZero():
-		s.QueueWait = j.started.Sub(j.submitted)
-		if !j.finished.IsZero() {
-			s.RunTime = j.finished.Sub(j.started)
-		}
-	case !j.finished.IsZero(): // cache hit or canceled in queue
-		s.QueueWait = j.finished.Sub(j.submitted)
-	}
+	s.QueueWait, s.RunTime = Durations(j.submitted, j.started, j.finished)
 	return s
 }
 
@@ -1136,9 +1206,9 @@ func (p *Pool) Cancel(id string) error {
 		p.finishLocked(j)
 		return nil
 	case StateRunning:
-		return fmt.Errorf("jobs: %q is running and cannot be preempted", id)
+		return fmt.Errorf("%w: %q is running and cannot be preempted", ErrConflict, id)
 	default:
-		return fmt.Errorf("jobs: %q is already %s", id, j.state)
+		return fmt.Errorf("%w: %q is already %s", ErrConflict, id, j.state)
 	}
 }
 

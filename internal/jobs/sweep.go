@@ -12,7 +12,6 @@
 package jobs
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -47,84 +46,8 @@ type sweepState struct {
 // in-flight coalescing (the per-point caches below it make re-running a
 // sweep cheap anyway); a saturated queue still rejects with ErrQueueFull.
 func (p *Pool) SubmitSweep(b *bundle.Bundle) (string, error) {
-	st, err := p.submitSweep(b, SubmitOptions{})
+	st, err := p.accept(b, SubmitOptions{}, true)
 	return st.ID, err
-}
-
-// SubmitSweepWith is SubmitSweep with per-job execution hints.
-func (p *Pool) SubmitSweepWith(b *bundle.Bundle, o SubmitOptions) (string, error) {
-	st, err := p.submitSweep(b, o)
-	return st.ID, err
-}
-
-// submitSweep does the work of SubmitSweep and returns the job's status
-// snapshot from the same critical section (the HTTP front-end needs no
-// follow-up lookup).
-func (p *Pool) submitSweep(b *bundle.Bundle, o SubmitOptions) (Status, error) {
-	if b == nil {
-		return Status{}, fmt.Errorf("jobs: nil bundle")
-	}
-	if b.Context == nil || b.Context.Sweep == nil {
-		return Status{}, fmt.Errorf("jobs: sweep submission without a sweep context block")
-	}
-	n := len(b.Context.Sweep.Points)
-	if n == 0 {
-		return Status{}, fmt.Errorf("jobs: sweep has no points")
-	}
-	if n > MaxSweepPoints {
-		return Status{}, fmt.Errorf("jobs: sweep has %d points, max %d", n, MaxSweepPoints)
-	}
-	// The template's own content address (the sweep block is part of the
-	// context, so it never collides with a per-point key) identifies the
-	// job in the journal.
-	key, err := CacheKey(b)
-	if err != nil {
-		return Status{}, err
-	}
-	key = profiledKey(key, o.Profile)
-	engine := resolveEngine(b)
-	var rawBundle json.RawMessage
-	if p.opts.Store != nil {
-		rawBundle, err = json.Marshal(b)
-		if err != nil {
-			return Status{}, fmt.Errorf("jobs: marshal bundle: %w", err)
-		}
-	}
-	now := time.Now()
-
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return Status{}, ErrClosed
-	}
-	if len(p.pending) >= p.opts.QueueDepth {
-		p.met.rejected.Inc()
-		return Status{}, ErrQueueFull
-	}
-	p.nextID++
-	j := &job{
-		id:        fmt.Sprintf("job-%08d", p.nextID),
-		trace:     obs.EnsureTraceID(o.TraceID),
-		bundle:    b,
-		key:       key,
-		state:     StateQueued,
-		engine:    engine,
-		shards:    o.Shards,
-		profile:   o.Profile,
-		submitted: now,
-		sweep:     &sweepState{points: n},
-		done:      make(chan struct{}),
-	}
-	j.spanLocked("queued", 0, fmt.Sprintf("sweep points=%d", n))
-	p.pending = append(p.pending, j)
-	p.jobs[j.id] = j
-	p.met.submitted.Inc()
-	p.met.sweeps.Inc()
-	p.journal(store.Event{T: store.EvSubmitted, Job: j.id, At: now, Trace: j.trace, Key: key, Engine: engine, Bundle: rawBundle, Pin: o.Shards, Profile: o.Profile, Points: n})
-	obs.Record(obs.FlightJobQueued, j.id, fmt.Sprintf("sweep points=%d", n))
-	p.log.Info("sweep queued", "job", j.id, "trace", j.trace, "engine", engine, "points", n)
-	p.cond.Signal()
-	return p.statusLocked(j), nil
 }
 
 // runSweepJob executes a sweep job on the worker goroutine that dequeued

@@ -143,7 +143,7 @@ func TestSweepCompileOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cst, err := p.submit(cb, SubmitOptions{})
+	cst, err := p.accept(cb, SubmitOptions{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
